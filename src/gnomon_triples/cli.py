@@ -8,14 +8,15 @@ only ``diagram --out`` writes a file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
-from .gnomons import gnomon_pair, overlap_terms, pair_progressions, scaled_gnomon_pair
+from .gnomons import gnomon_pair, overlap_terms, pair_progressions
 from .oracle import brute_force_primitive, euclid_parametrization
-from .ordering import render_row, render_table, stream
+from .ordering import render_lines, stream
 from .triples import construct, decompose_general, invert, scale
 
 
@@ -36,6 +37,16 @@ def _even_side(text: str) -> int:
     return value
 
 
+def _unit_px(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
 def _triple_arg(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -43,21 +54,24 @@ def _triple_arg(text: str) -> tuple[int, int, int]:
     return tuple(_positive_int(part) for part in parts)  # type: ignore[return-value]
 
 
-def _print_pair(pair, stdout) -> None:
-    t1 = pair.odd_gnomon.thickness
-    t2 = pair.even_gnomon.thickness
-    print(f"T1={t1} T2={t2} L={pair.odd_gnomon.side_length}", file=stdout)
+def _print_pair(pair) -> None:
+    odd, even = pair.odd_gnomon, pair.even_gnomon
+    print(f"T1={odd.thickness} T2={even.thickness} L={odd.side_length}")
+
+
+def _write_rows(rows, fmt: str) -> int:
+    write = sys.stdout.write
+    for line in render_lines(rows, fmt):
+        write(line)
+    return 0
 
 
 def cmd_enumerate(args) -> int:
-    for row in stream(args.from_s, args.to_s):
-        print(render_row(row, args.format), file=sys.stdout)
-    return 0
+    return _write_rows(stream(args.from_s, args.to_s), args.format)
 
 
 def cmd_table(args) -> int:
-    sys.stdout.write(render_table(stream(2, args.to_s), "appendix"))
-    return 0
+    return _write_rows(stream(2, args.to_s), "appendix")
 
 
 def cmd_invert(args) -> int:
@@ -71,9 +85,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_gnomon(args) -> int:
-    base = construct(invert(*args.triple))
-    pair = scaled_gnomon_pair(scale(base, args.k)) if args.k > 1 else gnomon_pair(base)
-    _print_pair(pair, sys.stdout)
+    pair = gnomon_pair(construct(invert(*args.triple)), args.k)
+    _print_pair(pair)
     odd, even = pair_progressions(pair)
     shared, _, _ = overlap_terms(pair)
     for name, prog in (("progression_x2", odd), ("progression_y2", even)):
@@ -89,7 +102,7 @@ def cmd_scale(args) -> int:
     base = construct(invert(*args.triple))
     general = scale(base, args.k)
     print(f"k={general.scale} x={general.x} y={general.y} z={general.z}")
-    _print_pair(scaled_gnomon_pair(general), sys.stdout)
+    _print_pair(gnomon_pair(base, args.k))
     return 0
 
 
@@ -97,7 +110,7 @@ def cmd_verify(args) -> int:
     z_max = args.z_max
     side_cap = z_max - 3
     side_cap -= side_cap % 2
-    rows = [row for row in stream(2, side_cap) if row.triple.z <= z_max]
+    rows = [row for row in stream(2, side_cap) if row.z <= z_max]
     enumerated = {row.triple for row in rows}
     brute = brute_force_primitive(z_max)
     euclid = euclid_parametrization(z_max)
@@ -159,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--triple", type=_triple_arg, required=True, metavar="X,Y,Z")
     p.add_argument("--k", type=_positive_int, default=1, help="lattice scale (default 1)")
-    p.add_argument("--unit", type=float, default=10.0, help="pixels per unit (default 10)")
+    p.add_argument("--unit", type=_unit_px, default=10.0, help="pixels per unit (default 10)")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_diagram)
 

@@ -3,14 +3,14 @@
 All geometry is computed in integer units (one unit per integer of side
 length) and scaled by a pixel factor only at emission, so identical specs
 produce byte-identical SVG.  Before emitting, the renderer re-sums the
-gnomon rectangles and asserts they cover exactly the paired square's area.
+gnomon rectangles and checks that they cover exactly the paired square's area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, require
 from .triples import PrimitiveTriple
 
 KINDS = (
@@ -87,12 +87,12 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, li
 
     if spec.kind == "square_gnomon_even":
         band = _band_rects(z, t1, "gnomon-odd")
-        assert _rect_area(band) == x * x, spec
+        require(_rect_area(band) == x * x, spec)
         return z, [(0, 0, z, z, "frame"), (t1, 0, y, y, "inner")] + band, []
 
     if spec.kind == "square_gnomon_odd":
         band = _band_rects(z, t2, "gnomon-even")
-        assert _rect_area(band) == y * y, spec
+        require(_rect_area(band) == y * y, spec)
         return z, [(0, 0, z, z, "frame"), (t2, 0, x, x, "inner")] + band, []
 
     if spec.kind == "connected":
@@ -103,16 +103,16 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, li
             (t_min, 0, t_max - t_min, z - t_min, larger_css),
             (t_max, z - t_max, z - t_max, t_max - t_min, larger_css),
         ]
-        assert _rect_area(shared) == t_min * (2 * z - t_min), spec
-        assert _rect_area(shared) + _rect_area(larger_only) == t_max * (2 * z - t_max), spec
+        require(_rect_area(shared) == t_min * (2 * z - t_min), spec)
+        require(_rect_area(shared) + _rect_area(larger_only) == t_max * (2 * z - t_max), spec)
         inner = (t_max, 0, z - t_max, z - t_max, "inner")
         return z, [(0, 0, z, z, "frame"), inner] + larger_only + shared, []
 
     if spec.kind == "lattice":
         cell = _unit_cell(spec.triple)
         cell_gnomon = _rect_area([r for r in cell if r[4] == "gnomon-odd"])
-        assert cell_gnomon == x * x, spec
-        assert k * k * cell_gnomon == (k * x) ** 2, spec
+        require(cell_gnomon == x * x, spec)
+        require(k * k * cell_gnomon == (k * x) ** 2, spec)
         groups = [
             (col * z, row * z, cell) for row in range(k) for col in range(k)
         ]
@@ -121,7 +121,7 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, li
     # lattice_regrouped: all even-leg squares gathered top right, one total
     # gnomon of thickness k*(z - y) along the left and bottom.
     band = _band_rects(k * z, k * t1, "gnomon-odd")
-    assert _rect_area(band) == (k * x) ** 2, spec
+    require(_rect_area(band) == (k * x) ** 2, spec)
     rects = [(0, 0, k * z, k * z, "frame"), (k * t1, 0, k * y, k * y, "inner")]
     return k * z, rects + band, []
 
@@ -135,10 +135,10 @@ def render(spec: DiagramSpec) -> str:
     """Render a spec to SVG text (SVG 1.1, one trailing newline)."""
     frame_units, rects, groups = _build(spec)
     frame_px = frame_units * spec.unit_px
-    if frame_px > MAX_SIDE_PX:
+    if frame_px > MAX_SIDE_PX or _px(frame_px) == "0":
         raise SizeLimitError(
             f"{frame_units} units at {spec.unit_px} px/unit is {_px(frame_px)} px; "
-            f"limit is {_px(MAX_SIDE_PX)} px per side"
+            f"limit is above 0 and at most {_px(MAX_SIDE_PX)} px per side"
         )
 
     u = spec.unit_px

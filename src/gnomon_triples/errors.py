@@ -1,8 +1,14 @@
-"""Domain errors raised by the library.
+"""Domain errors raised by the library, and its internal invariant check.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
 with ``error: <code>:`` so callers can match on it.
 """
+
+
+def require(condition: bool, context: object) -> None:
+    """Raise AssertionError when an internal invariant fails, even under ``python -O``."""
+    if not condition:
+        raise AssertionError(context)
 
 
 class DomainError(Exception):
@@ -33,6 +39,6 @@ class MalformedTripleError(DomainError):
 
 
 class SizeLimitError(DomainError):
-    """A rendered diagram would exceed the pixel size limit."""
+    """A rendered diagram would exceed the pixel size limit or round to 0 px."""
 
     code = "size-limit"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require
 from .triples import GeneralTriple, PrimitiveTriple
 
 
@@ -71,10 +72,6 @@ class GnomonPair:
         if self.even_gnomon.thickness != k * (self.triple.z - self.triple.x):
             raise ValueError("even gnomon thickness must be k*(z - x)")
 
-    @property
-    def scale(self) -> int:
-        return self.odd_gnomon.side_length // self.triple.z
-
 
 @dataclass(frozen=True)
 class GnomonProgression:
@@ -85,11 +82,8 @@ class GnomonProgression:
 
     first_term: int
     term_count: int
-    difference: int = 2
 
     def __post_init__(self) -> None:
-        if self.difference != 2:
-            raise ValueError("gnomon progressions always step by 2")
         if self.first_term < 1 or self.first_term % 2 == 0:
             raise ValueError(f"first term must be odd, got {self.first_term}")
         if self.term_count < 1:
@@ -108,9 +102,9 @@ class GnomonProgression:
         return range(self.first_term, self.last_term + 1, 2)
 
 
-def gnomon_pair(triple: PrimitiveTriple) -> GnomonPair:
-    """Both gnomons of a primitive triple inside its z-by-z square."""
-    x, y, z = triple.values()
+def gnomon_pair(triple: PrimitiveTriple, k: int = 1) -> GnomonPair:
+    """Both gnomons of a triple scaled by k, inside its kz-by-kz square."""
+    x, y, z = (k * value for value in triple.values())
     return GnomonPair(
         odd_gnomon=Gnomon(thickness=z - y, side_length=z, area=x * x),
         even_gnomon=Gnomon(thickness=z - x, side_length=z, area=y * y),
@@ -120,13 +114,7 @@ def gnomon_pair(triple: PrimitiveTriple) -> GnomonPair:
 
 def scaled_gnomon_pair(general: GeneralTriple) -> GnomonPair:
     """Gnomons of a scaled triple: thicknesses k times the primitive ones."""
-    x, y, z = general.values()
-    kz = general.scale * general.base.z
-    return GnomonPair(
-        odd_gnomon=Gnomon(thickness=kz - y, side_length=kz, area=x * x),
-        even_gnomon=Gnomon(thickness=kz - x, side_length=kz, area=y * y),
-        triple=general.base,
-    )
+    return gnomon_pair(general.base, general.scale)
 
 
 def progression_on_square(square_side: int, gnomon_thickness: int) -> GnomonProgression:
@@ -137,8 +125,6 @@ def progression_on_square(square_side: int, gnomon_thickness: int) -> GnomonProg
     """
     if square_side < 1:
         raise ValueError(f"square side must be positive, got {square_side}")
-    if gnomon_thickness < 1:
-        raise ValueError(f"thickness must be positive, got {gnomon_thickness}")
     return GnomonProgression(first_term=2 * square_side + 1, term_count=gnomon_thickness)
 
 
@@ -160,8 +146,8 @@ def overlap_terms(
     """
     odd, even = pair_progressions(pair)
     # Equal thicknesses would need l^2 = 2t^2, impossible for coprime t, l.
-    assert odd.term_count != even.term_count, pair
+    require(odd.term_count != even.term_count, pair)
     longer, shorter = (odd, even) if odd.term_count > even.term_count else (even, odd)
     suffix_start = longer.first_term + 2 * (longer.term_count - shorter.term_count)
-    assert suffix_start == shorter.first_term, pair
+    require(suffix_start == shorter.first_term, pair)
     return list(shorter.terms()), longer, shorter

@@ -7,12 +7,11 @@ inward visits every primitive triple exactly once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, ensure_side, enumerate_partitions
-from .triples import PrimitiveTriple, construct, invert
+from .partitions import Partition, ensure_side, split_pairs
+from .triples import PrimitiveTriple, invert, split_triple
 
 TABLE_FORMATS = ("appendix", "tsv", "jsonl")
 
@@ -32,11 +31,32 @@ class OrderIndex:
         return f"{self.n1}.{self.n2}"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    index: OrderIndex
-    partition: Partition
-    triple: PrimitiveTriple
+class TableRow(NamedTuple):
+    """One row of the order; the fields are exactly the jsonl keys.
+
+    Built unchecked by ``stream``; ``index``, ``partition`` and ``triple`` validate.
+    """
+
+    n1: int
+    n2: int
+    s: int
+    t: int
+    l: int
+    x: int
+    y: int
+    z: int
+
+    @property
+    def index(self) -> OrderIndex:
+        return OrderIndex(self.n1, self.n2)
+
+    @property
+    def partition(self) -> Partition:
+        return Partition(t=self.t, l=self.l, side=self.s)
+
+    @property
+    def triple(self) -> PrimitiveTriple:
+        return PrimitiveTriple(self.x, self.y, self.z)
 
 
 def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
@@ -49,68 +69,39 @@ def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
     if from_s > to_s:
         raise ValueError(f"empty side range: {from_s} > {to_s}")
     for side in range(from_s, to_s + 1, 2):
-        for rank, partition in enumerate(enumerate_partitions(side), start=1):
-            yield TableRow(
-                index=OrderIndex(n1=side // 2, n2=rank),
-                partition=partition,
-                triple=construct(partition),
-            )
+        for rank, (t, l) in enumerate(split_pairs(side), start=1):
+            yield TableRow(side // 2, rank, side, t, l, *split_triple(side, t, l))
 
 
 def index_of(triple: PrimitiveTriple) -> OrderIndex:
     """Position of a primitive triple in the total order."""
-    partition = invert(triple.x, triple.y, triple.z)
-    rank = 1 + [p.t for p in enumerate_partitions(partition.side)].index(partition.t)
-    return OrderIndex(n1=partition.side // 2, n2=rank)
-
-
-def _row_cells(row: TableRow, side_cell: str) -> list[str]:
-    p, triple = row.partition, row.triple
-    return [
-        row.index.label(),
-        side_cell,
-        str(p.t),
-        str(p.l),
-        str(triple.x),
-        str(triple.y),
-        str(triple.z),
-    ]
+    p = invert(triple.x, triple.y, triple.z)
+    return OrderIndex(n1=p.side // 2, n2=1 + split_pairs(p.side).index((p.t, p.l)))
 
 
 def render_row(row: TableRow, fmt: str, first_of_group: bool = True) -> str:
     """One output line for a row, without the trailing newline."""
-    if fmt == "appendix":
-        side_cell = str(row.partition.side) if first_of_group else ""
-        return "\t".join(_row_cells(row, side_cell))
-    if fmt == "tsv":
-        return "\t".join(_row_cells(row, str(row.partition.side)))
+    n1, n2, s, t, l, x, y, z = row
     if fmt == "jsonl":
-        record = {
-            "n1": row.index.n1,
-            "n2": row.index.n2,
-            "s": row.partition.side,
-            "t": row.partition.t,
-            "l": row.partition.l,
-            "x": row.triple.x,
-            "y": row.triple.y,
-            "z": row.triple.z,
-        }
-        return json.dumps(record, separators=(",", ":"))
-    raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
+        return f'{{"n1":{n1},"n2":{n2},"s":{s},"t":{t},"l":{l},"x":{x},"y":{y},"z":{z}}}'
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
+    side = s if fmt == "tsv" or first_of_group else ""
+    return f"{n1}.{n2}\t{side}\t{t}\t{l}\t{x}\t{y}\t{z}"
 
 
-def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
-    """Render rows as text; empty input renders as empty output.
+def render_lines(rows: Iterable[TableRow], fmt: str) -> Iterator[str]:
+    """Each row's output line with its newline, produced one row at a time.
 
     The appendix format prints the side only on the first row of each side
     group, mirroring how the ordered table is usually typeset.
     """
-    lines = []
     previous_side = None
     for row in rows:
-        first = row.partition.side != previous_side
-        lines.append(render_row(row, fmt, first_of_group=first))
-        previous_side = row.partition.side
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+        yield render_row(row, fmt, first_of_group=row.s != previous_side) + "\n"
+        previous_side = row.s
+
+
+def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
+    """Render rows as text; empty input renders as empty output."""
+    return "".join(render_lines(rows, fmt))

@@ -106,20 +106,19 @@ def partition_count(side: int) -> int:
     return 1 << factor_side(side).odd_prime_count
 
 
-def enumerate_partitions(side: int) -> list[Partition]:
-    """All (t, l) splits of a side, sorted by strictly increasing t.
+def split_pairs(side: int) -> list[tuple[int, int]]:
+    """All (t, l) splits of a side as plain pairs, sorted by strictly increasing t.
 
     l runs over the products of subsets of the odd prime-power components;
     t takes everything else, including all factors of 2.
     """
-    profile = factor_side(side)
-    atoms = [prime**exponent for prime, exponent in profile.odd_prime_powers]
-    partitions = []
-    for mask in range(1 << len(atoms)):
-        l = 1
-        for bit, atom in enumerate(atoms):
-            if mask >> bit & 1:
-                l *= atom
-        partitions.append(Partition(t=side // (2 * l), l=l, side=side))
-    partitions.sort(key=lambda p: p.t)
-    return partitions
+    ls = [1]
+    for prime, exponent in factor_side(side).odd_prime_powers:
+        atom = prime**exponent
+        ls += [l * atom for l in ls]
+    return sorted((side // (2 * l), l) for l in ls)
+
+
+def enumerate_partitions(side: int) -> list[Partition]:
+    """All (t, l) splits of a side as validated Partitions, sorted by t."""
+    return [Partition(t=t, l=l, side=side) for t, l in split_pairs(side)]

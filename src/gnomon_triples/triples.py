@@ -68,13 +68,17 @@ class GeneralTriple:
         return (self.x, self.y, self.z)
 
 
+def split_triple(s: int, t: int, l: int) -> tuple[int, int, int]:
+    """(x, y, z) generated by a split S = 2tl, unchecked: the caller vouches for it."""
+    x = s + l * l
+    y = s + 2 * t * t
+    return x, y, x + y - s
+
+
 def construct(partition: Partition) -> PrimitiveTriple:
     """Build the primitive triple generated by a (t, l) split of S."""
-    s, t, l = partition.side, partition.t, partition.l
-    y = s + 2 * t * t
-    x = s + l * l
-    z = s + 2 * t * t + l * l
-    return PrimitiveTriple(x=x, y=y, z=z)
+    return PrimitiveTriple(*split_triple(partition.side, partition.t, partition.l))
+
 
 def _sorted_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     """Order three positive integers as (leg, leg, hypotenuse) or fail."""

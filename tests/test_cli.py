@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from gnomon_triples.cli import main
+from gnomon_triples.ordering import render_table, stream
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +97,14 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, "enumerate", "--to-s", "4")
         assert code == 0
         assert out.splitlines() == ["1.1\t2\t1\t1\t3\t4\t5", "2.1\t4\t2\t1\t5\t12\t13"]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_output_matches_render_table(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--from-s", "28", "--to-s", "400", "--format", fmt
+        )
+        assert code == 0
+        assert out == render_table(stream(28, 400), fmt)
 
     def test_inverted_range_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +206,29 @@ class TestDiagram:
         )
         assert code == 1
         assert err.startswith("error: size-limit:")
+
+    @pytest.mark.parametrize(
+        "unit, code, err_start",
+        [
+            ("nan", 2, "usage:"),
+            ("inf", 2, "usage:"),
+            ("0", 2, "usage:"),
+            ("-1", 2, "usage:"),
+            ("1e-300", 1, "error: size-limit:"),
+        ],
+    )
+    def test_bad_unit_is_rejected(self, capsys, tmp_path, unit, code, err_start):
+        out_path = tmp_path / "x.svg"
+        try:
+            result = main(["diagram", "--kind", "lattice", "--triple", "3,4,5",
+                           "--unit", unit, "--out", str(out_path)])
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        assert result == code
+        assert captured.out == ""
+        assert captured.err.startswith(err_start)
+        assert not out_path.exists()
 
     def test_bad_kind_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

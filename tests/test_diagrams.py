@@ -1,10 +1,15 @@
 """Structural checks on the SVG output: counts and coordinates, not pixels."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+from gnomon_triples import diagrams
 from gnomon_triples.diagrams import KINDS, MAX_SIDE_PX, DiagramSpec, render
 from gnomon_triples.errors import SizeLimitError
 from gnomon_triples.ordering import stream
@@ -121,6 +126,27 @@ class TestRendering:
         for row in islice(stream(2, 100), 20):
             for kind in KINDS:
                 render(DiagramSpec(kind, row.triple, scale_k=4, unit_px=0.05))
+
+    def test_area_resum_survives_python_O(self):
+        # A wrong re-sum must stop every kind even with asserts stripped.
+        script = (
+            "from gnomon_triples import diagrams\n"
+            "from gnomon_triples.triples import PrimitiveTriple\n"
+            "diagrams._rect_area = lambda rects: -1\n"
+            "for kind in diagrams.KINDS:\n"
+            "    try:\n"
+            "        diagrams.render(diagrams.DiagramSpec(kind, PrimitiveTriple(3, 4, 5)))\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{kind} rendered a wrong area')\n"
+        )
+        src = str(Path(diagrams.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):

@@ -96,8 +96,6 @@ class TestProgressionOnSquare:
             GnomonProgression(first_term=8, term_count=1)
         with pytest.raises(ValueError):
             GnomonProgression(first_term=7, term_count=0)
-        with pytest.raises(ValueError):
-            GnomonProgression(first_term=7, term_count=1, difference=3)
 
 
 class TestOverlap:

@@ -12,7 +12,7 @@ from gnomon_triples.ordering import (
     render_table,
     stream,
 )
-from gnomon_triples.triples import PrimitiveTriple
+from gnomon_triples.triples import PrimitiveTriple, construct
 
 
 class TestStream:
@@ -45,6 +45,7 @@ class TestStream:
     def test_rows_match_their_own_index(self):
         for row in stream(2, 300):
             assert index_of(row.triple) == row.index
+            assert row.triple == construct(row.partition)
 
     def test_lazy_first_row_without_exhaustion(self):
         # Grabbing the head of a huge range must not enumerate the tail.
@@ -119,6 +120,11 @@ class TestRenderTable:
         assert records[1] == {
             "n1": 3, "n2": 2, "s": 6, "t": 3, "l": 1, "x": 7, "y": 24, "z": 25,
         }
+
+    def test_jsonl_matches_json_dumps_byte_for_byte(self):
+        for row in stream(2, 2000):
+            expected = json.dumps(row._asdict(), separators=(",", ":"))
+            assert render_row(row, "jsonl") == expected
 
     def test_unknown_format_is_rejected(self):
         with pytest.raises(ValueError):
