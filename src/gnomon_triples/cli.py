@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain errors (reported as ``error: <code>: ...``
-on stderr), 2 usage errors.  Data goes to stdout, diagnostics to stderr;
-only ``diagram --out`` writes a file.
+on stderr) or stdout closed early, 2 usage errors (an unwritable
+``diagram --out`` path included).  Data goes to stdout, diagnostics to
+stderr; only ``diagram --out`` writes a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -127,7 +129,12 @@ def cmd_verify(args) -> int:
 def cmd_diagram(args) -> int:
     base = construct(invert(*args.triple))
     spec = DiagramSpec(kind=args.kind, triple=base, scale_k=args.k, unit_px=args.unit)
-    Path(args.out).write_text(render(spec), encoding="utf-8")
+    svg = render(spec)
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc.strerror}: {args.out}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -194,7 +201,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """Run ``main`` as a program; a reader closing stdout early ends it with exit 1."""
+    try:
+        code = main()
+        sys.stdout.flush()  # raise a broken pipe here, not at interpreter exit
+    except BrokenPipeError:
+        # As the ``signal`` docs advise: send the unflushed rest to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ KINDS = (
 )
 
 MAX_SIDE_PX = 20000.0
+# Cells in one lattice (k <= 100); bounds the work when the unit is small.
+MAX_LATTICE_CELLS = 10_000
 
 # Fixed palette; not configurable so rendered output stays stable.
 _STYLE = (
@@ -66,18 +68,21 @@ def _rect_area(rects: list[_Rect]) -> int:
     return sum(w * h for (_, _, w, h, _) in rects)
 
 
-def _unit_cell(triple: PrimitiveTriple) -> list[_Rect]:
-    """One z-cell: frame, even-leg square top right, odd-area gnomon."""
-    x, y, z = triple.values()
-    t1 = z - y
-    cell = [(0, 0, z, z, "frame"), (t1, 0, y, y, "inner")]
-    cell += _band_rects(z, t1, "gnomon-odd")
-    return cell
+def _square_gnomon(frame: int, thickness: int, leg: int, css: str) -> list[_Rect]:
+    """A frame, its inner square top right, and the L-band of area leg^2.
+
+    Raises AssertionError if the band's rectangles do not re-sum to leg^2.
+    """
+    band = _band_rects(frame, thickness, css)
+    require(_rect_area(band) == leg * leg, (frame, thickness, leg))
+    inner = frame - thickness
+    return [(0, 0, frame, frame, "frame"), (thickness, 0, inner, inner, "inner")] + band
 
 
-def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, list[_Rect]]]]:
-    """Frame side in units, top-level rects, and translated cell groups.
+def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[_Rect]]:
+    """Frame side in units, top-level rects, and the lattice cell (else empty).
 
+    The cell is z units on a side and tiles the frame k times each way.
     Raises AssertionError if the gnomon rectangles fail to cover the paired
     square's area exactly.
     """
@@ -86,14 +91,10 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, li
     t1, t2 = z - y, z - x
 
     if spec.kind == "square_gnomon_even":
-        band = _band_rects(z, t1, "gnomon-odd")
-        require(_rect_area(band) == x * x, spec)
-        return z, [(0, 0, z, z, "frame"), (t1, 0, y, y, "inner")] + band, []
+        return z, _square_gnomon(z, t1, x, "gnomon-odd"), []
 
     if spec.kind == "square_gnomon_odd":
-        band = _band_rects(z, t2, "gnomon-even")
-        require(_rect_area(band) == y * y, spec)
-        return z, [(0, 0, z, z, "frame"), (t2, 0, x, x, "inner")] + band, []
+        return z, _square_gnomon(z, t2, y, "gnomon-even"), []
 
     if spec.kind == "connected":
         t_min, t_max = min(t1, t2), max(t1, t2)
@@ -109,21 +110,11 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[tuple[int, int, li
         return z, [(0, 0, z, z, "frame"), inner] + larger_only + shared, []
 
     if spec.kind == "lattice":
-        cell = _unit_cell(spec.triple)
-        cell_gnomon = _rect_area([r for r in cell if r[4] == "gnomon-odd"])
-        require(cell_gnomon == x * x, spec)
-        require(k * k * cell_gnomon == (k * x) ** 2, spec)
-        groups = [
-            (col * z, row * z, cell) for row in range(k) for col in range(k)
-        ]
-        return k * z, [(0, 0, k * z, k * z, "frame")], groups
+        return k * z, [(0, 0, k * z, k * z, "frame")], _square_gnomon(z, t1, x, "gnomon-odd")
 
     # lattice_regrouped: all even-leg squares gathered top right, one total
     # gnomon of thickness k*(z - y) along the left and bottom.
-    band = _band_rects(k * z, k * t1, "gnomon-odd")
-    require(_rect_area(band) == (k * x) ** 2, spec)
-    rects = [(0, 0, k * z, k * z, "frame"), (k * t1, 0, k * y, k * y, "inner")]
-    return k * z, rects + band, []
+    return k * z, _square_gnomon(k * z, k * t1, k * x, "gnomon-odd"), []
 
 
 def _px(value: float) -> str:
@@ -133,7 +124,10 @@ def _px(value: float) -> str:
 
 def render(spec: DiagramSpec) -> str:
     """Render a spec to SVG text (SVG 1.1, one trailing newline)."""
-    frame_units, rects, groups = _build(spec)
+    k = spec.scale_k
+    if spec.kind == "lattice" and k * k > MAX_LATTICE_CELLS:
+        raise SizeLimitError(f"a {k}x{k} lattice exceeds the limit of {MAX_LATTICE_CELLS} cells")
+    frame_units, rects, cell = _build(spec)
     frame_px = frame_units * spec.unit_px
     if frame_px > MAX_SIDE_PX or _px(frame_px) == "0":
         raise SizeLimitError(
@@ -159,9 +153,14 @@ def render(spec: DiagramSpec) -> str:
         f"<defs><style>{_STYLE}</style></defs>",
     ]
     lines += [rect_tag(r) for r in rects]
-    for tx, ty, cell_rects in groups:
-        lines.append(f'<g class="cell" transform="translate({_px(tx * u)} {_px(ty * u)})">')
-        lines += [rect_tag(r) for r in cell_rects]
-        lines.append("</g>")
+    if cell:
+        # One formatted cell body, translated once per tile.
+        body = "\n".join(rect_tag(r) for r in cell) + "\n</g>"
+        offsets = [_px(i * spec.triple.z * u) for i in range(k)]
+        lines += [
+            f'<g class="cell" transform="translate({tx} {ty})">\n{body}'
+            for ty in offsets
+            for tx in offsets
+        ]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

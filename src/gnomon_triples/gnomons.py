@@ -137,12 +137,12 @@ def pair_progressions(pair: GnomonPair) -> tuple[GnomonProgression, GnomonProgre
 
 def overlap_terms(
     pair: GnomonPair,
-) -> tuple[list[int], GnomonProgression, GnomonProgression]:
+) -> tuple[range, GnomonProgression, GnomonProgression]:
     """Shared suffix of the pair's two progressions, plus both progressions.
 
     Both progressions end at one less than twice the outer side, so the one
     with fewer terms coincides with the tail of the other.  Returns
-    (shared terms, longer progression, shorter progression).
+    (shared terms as a range, longer progression, shorter progression).
     """
     odd, even = pair_progressions(pair)
     # Equal thicknesses would need l^2 = 2t^2, impossible for coprime t, l.
@@ -150,4 +150,4 @@ def overlap_terms(
     longer, shorter = (odd, even) if odd.term_count > even.term_count else (even, odd)
     suffix_start = longer.first_term + 2 * (longer.term_count - shorter.term_count)
     require(suffix_start == shorter.first_term, pair)
-    return list(shorter.terms()), longer, shorter
+    return shorter.terms(), longer, shorter

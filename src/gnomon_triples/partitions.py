@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 def ensure_side(value: int) -> int:
@@ -22,39 +23,16 @@ def ensure_side(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class OddFactorProfile:
+class OddFactorProfile(NamedTuple):
     """Complete factorization of a side: 2^two_exponent times odd prime powers.
 
     ``odd_prime_powers`` holds (prime, exponent) pairs with strictly
-    increasing primes and every exponent >= 1.
+    increasing primes and every exponent >= 1.  Only ``factor_side`` builds
+    one, so it is not re-checked.
     """
 
     two_exponent: int
     odd_prime_powers: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.two_exponent < 1:
-            raise ValueError("a side is even, so two_exponent must be >= 1")
-        last = 1
-        for prime, exponent in self.odd_prime_powers:
-            if prime <= last or prime % 2 == 0:
-                raise ValueError(f"odd primes must be increasing and odd, got {prime}")
-            if exponent < 1:
-                raise ValueError(f"exponent for prime {prime} must be >= 1")
-            last = prime
-
-    @property
-    def odd_prime_count(self) -> int:
-        """Number of distinct odd primes (the exponent j in 2^j splits)."""
-        return len(self.odd_prime_powers)
-
-    def value(self) -> int:
-        """Reconstruct the side this profile was computed from."""
-        side = 1 << self.two_exponent
-        for prime, exponent in self.odd_prime_powers:
-            side *= prime**exponent
-        return side
 
 
 @dataclass(frozen=True)
@@ -103,7 +81,7 @@ def factor_side(side: int) -> OddFactorProfile:
 
 def partition_count(side: int) -> int:
     """Number of valid (t, l) splits of a side: 2^j over its distinct odd primes."""
-    return 1 << factor_side(side).odd_prime_count
+    return 1 << len(factor_side(side).odd_prime_powers)
 
 
 def split_pairs(side: int) -> list[tuple[int, int]]:

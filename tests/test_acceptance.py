@@ -117,8 +117,8 @@ def test_criterion_5_gnomon_identities():
 
             shared, longer, shorter = overlap_terms(pair)
             suffix_first = longer.last_term - 2 * (shorter.term_count - 1)
-            assert shared == list(range(suffix_first, longer.last_term + 1, 2))
-            assert shared == list(shorter.terms())
+            assert list(shared) == list(range(suffix_first, longer.last_term + 1, 2))
+            assert list(shared) == list(shorter.terms())
             count += 1
         assert count == sum(len(enumerate_partitions(s)) for s in range(2, 2001, 2))
 

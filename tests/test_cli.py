@@ -200,25 +200,31 @@ class TestDiagram:
         assert not (tmp_path / "x.svg").exists()
 
     def test_oversized_rendering_fails_cleanly(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "diagram", "--kind", "lattice", "--triple", "3,4,5",
-            "--k", "4", "--unit", "5000", "--out", str(tmp_path / "x.svg"),
-        )
-        assert code == 1
-        assert err.startswith("error: size-limit:")
+        # past the pixel cap, then past the lattice cell cap at only 5 px
+        for k, unit in (("4", "5000"), ("1000", "0.001")):
+            code, _, err = run_cli(
+                capsys, "diagram", "--kind", "lattice", "--triple", "3,4,5",
+                "--k", k, "--unit", unit, "--out", str(tmp_path / "x.svg"),
+            )
+            assert code == 1
+            assert err.startswith("error: size-limit:")
+            assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize(
-        "unit, code, err_start",
+        "unit, out_dir, code, err_start",
         [
-            ("nan", 2, "usage:"),
-            ("inf", 2, "usage:"),
-            ("0", 2, "usage:"),
-            ("-1", 2, "usage:"),
-            ("1e-300", 1, "error: size-limit:"),
+            pytest.param("nan", "", 2, "usage:", id="nan-2-usage:"),
+            pytest.param("inf", "", 2, "usage:", id="inf-2-usage:"),
+            pytest.param("0", "", 2, "usage:", id="0-2-usage:"),
+            pytest.param("-1", "", 2, "usage:", id="-1-2-usage:"),
+            pytest.param("1e-300", "", 1, "error: size-limit:", id="1e-300-1-error: size-limit:"),
+            # a good unit, but --out names a directory that does not exist
+            pytest.param("10", "missing", 2, "error: No such file or directory:",
+                         id="missing-out-dir"),
         ],
     )
-    def test_bad_unit_is_rejected(self, capsys, tmp_path, unit, code, err_start):
-        out_path = tmp_path / "x.svg"
+    def test_bad_unit_is_rejected(self, capsys, tmp_path, unit, out_dir, code, err_start):
+        out_path = tmp_path / out_dir / "x.svg"
         try:
             result = main(["diagram", "--kind", "lattice", "--triple", "3,4,5",
                            "--unit", unit, "--out", str(out_path)])
@@ -258,3 +264,16 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert result.stdout == "S=2 t=1 l=1\n"
+
+    def test_closed_stdout_exits_one_without_a_traceback(self):
+        # Far more output than a pipe buffers, so writes meet the closed pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gnomon_triples", "table", "--to-s", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"1.1\t2\t1\t1\t3\t4\t5\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""  # no traceback, no "Exception ignored" note

@@ -1,5 +1,6 @@
 """Structural checks on the SVG output: counts and coordinates, not pixels."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gnomon_triples import diagrams
-from gnomon_triples.diagrams import KINDS, MAX_SIDE_PX, DiagramSpec, render
+from gnomon_triples.diagrams import KINDS, MAX_LATTICE_CELLS, MAX_SIDE_PX, DiagramSpec, render
 from gnomon_triples.errors import SizeLimitError
 from gnomon_triples.ordering import stream
 from gnomon_triples.triples import PrimitiveTriple
@@ -110,7 +111,28 @@ class TestLattices:
             assert total == (k * 15) ** 2
 
 
+# SHA-256 per kind over the SVGs of GOLDEN_TRIPLES x k in (1, 4, 24) at 1.3 px
+# per unit, in that order: pins every byte, so a change to the builders or the
+# emitter cannot move a coordinate unnoticed.
+GOLDEN_TRIPLES = (T345, T15817, PrimitiveTriple(21, 20, 29))
+GOLDEN_DIGESTS = {
+    "square_gnomon_odd": "e7853dab32f4037b444d054f9ec48043b265b4fe8392d5f6859d225e833f895e",
+    "square_gnomon_even": "0f3cc697220d95ddb18e752cb0202b892bf573a234904091415a7026e8fce2f7",
+    "connected": "ccf1ea8f2b89f81b9f889d6dc0bcbb8ff0b258791c8760bff8da86a7b831e0c9",
+    "lattice": "7d06bbd2279c86c74255190e67599166ae51c4c387f5fc9bad6200bf9af570c1",
+    "lattice_regrouped": "34370c27e072cab48d074c9e12fd7bcfd3a2920b9d124f39ad4802b9746e27e5",
+}
+
+
 class TestRendering:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_output_matches_golden_digest(self, kind):
+        digest = hashlib.sha256()
+        for triple in GOLDEN_TRIPLES:
+            for k in (1, 4, 24):
+                digest.update(render(DiagramSpec(kind, triple, scale_k=k, unit_px=1.3)).encode())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[kind]
+
     def test_output_is_deterministic(self):
         spec = DiagramSpec("lattice", T345, scale_k=4, unit_px=12.5)
         assert render(spec) == render(spec)
@@ -153,6 +175,11 @@ class TestRendering:
             render(DiagramSpec("square_gnomon_even", T345, unit_px=MAX_SIDE_PX))
         # exactly at the limit is fine
         render(DiagramSpec("square_gnomon_even", T345, unit_px=MAX_SIDE_PX / 5))
+        # the cell cap holds however small the unit: 100^2 cells pass, 101^2 do not
+        assert MAX_LATTICE_CELLS == 100**2
+        render(DiagramSpec("lattice", T345, scale_k=100, unit_px=0.01))
+        with pytest.raises(SizeLimitError):
+            render(DiagramSpec("lattice", T345, scale_k=101, unit_px=0.01))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Gnomon pairs, their odd-number progressions, and the suffix overlap."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from gnomon_triples.gnomons import (
     scaled_gnomon_pair,
 )
 from gnomon_triples.ordering import stream
-from gnomon_triples.triples import PrimitiveTriple, scale
+from gnomon_triples.partitions import Partition
+from gnomon_triples.triples import PrimitiveTriple, construct, scale
 
 
 class TestGnomonPair:
@@ -103,13 +106,13 @@ class TestOverlap:
         shared, longer, shorter = overlap_terms(gnomon_pair(PrimitiveTriple(3, 4, 5)))
         assert list(longer.terms()) == [7, 9]
         assert list(shorter.terms()) == [9]
-        assert shared == [9]
+        assert list(shared) == [9]
 
     def test_even_leg_smaller_case(self):
         shared, longer, shorter = overlap_terms(gnomon_pair(PrimitiveTriple(15, 8, 17)))
         assert list(longer.terms()) == list(range(17, 34, 2))
         assert list(shorter.terms()) == [31, 33]
-        assert shared == [31, 33]
+        assert list(shared) == [31, 33]
 
     def test_both_progressions_end_below_twice_the_hypotenuse(self):
         for row in stream(2, 500):
@@ -120,8 +123,8 @@ class TestOverlap:
         for row in stream(2, 300):
             shared, longer, shorter = overlap_terms(gnomon_pair(row.triple))
             assert longer.term_count > shorter.term_count
-            assert shared == list(longer.terms())[-shorter.term_count :]
-            assert shared == list(shorter.terms())
+            assert list(shared) == list(longer.terms())[-shorter.term_count :]
+            assert list(shared) == list(shorter.terms())
 
     def test_smaller_side_picks_the_smaller_progression(self):
         # x < y: the shorter progression sits on the even-leg square
@@ -132,6 +135,19 @@ class TestOverlap:
         pair = gnomon_pair(PrimitiveTriple(15, 8, 17))
         _, _, shorter = overlap_terms(pair)
         assert shorter.term_count == pair.even_gnomon.thickness
+
+    def test_long_shared_suffix_is_not_materialized(self):
+        # t=1000, l=1001: the shared suffix has l^2 = 1 002 001 terms.
+        pair = gnomon_pair(construct(Partition(t=1000, l=1001, side=2_002_000)))
+        tracemalloc.start()
+        try:
+            shared, _, shorter = overlap_terms(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(shared) == shorter.term_count == 1001**2
+        assert (shared[0], shared[-1]) == (shorter.first_term, shorter.last_term)
+        assert peak < 1 << 20
 
 
 class TestTermByTermSums:
@@ -188,7 +204,7 @@ class TestScaledPairs:
             pair = scaled_gnomon_pair(scale(PrimitiveTriple(5, 12, 13), k))
             shared, longer, shorter = overlap_terms(pair)
             assert longer.last_term == shorter.last_term == 2 * 13 * k - 1
-            assert shared == list(longer.terms())[-shorter.term_count :]
+            assert list(shared) == list(longer.terms())[-shorter.term_count :]
             assert longer.total == max(pair.odd_gnomon.area, pair.even_gnomon.area)
 
 
