@@ -56,24 +56,23 @@ def _triple_arg(text: str) -> tuple[int, int, int]:
     return tuple(_positive_int(part) for part in parts)  # type: ignore[return-value]
 
 
+def _add_legs(p: argparse.ArgumentParser) -> None:
+    # One positional per leg, all appending to args.triple: argparse cannot show
+    # nargs=3 with a tuple metavar in --help or in a missing-argument error.
+    for metavar in ("X", "Y", "Z"):
+        p.add_argument("triple", type=_positive_int, action="append", metavar=metavar)
+
+
 def _print_pair(pair) -> None:
     odd, even = pair.odd_gnomon, pair.even_gnomon
     print(f"T1={odd.thickness} T2={even.thickness} L={odd.side_length}")
 
 
-def _write_rows(rows, fmt: str) -> int:
+def cmd_enumerate(args) -> int:
     write = sys.stdout.write
-    for line in render_lines(rows, fmt):
+    for line in render_lines(stream(args.from_s, args.to_s), args.format):
         write(line)
     return 0
-
-
-def cmd_enumerate(args) -> int:
-    return _write_rows(stream(args.from_s, args.to_s), args.format)
-
-
-def cmd_table(args) -> int:
-    return _write_rows(stream(2, args.to_s), "appendix")
 
 
 def cmd_invert(args) -> int:
@@ -90,13 +89,16 @@ def cmd_gnomon(args) -> int:
     pair = gnomon_pair(construct(invert(*args.triple)), args.k)
     _print_pair(pair)
     odd, even = pair_progressions(pair)
-    shared, _, _ = overlap_terms(pair)
+    _, _, shared = overlap_terms(pair)
     for name, prog in (("progression_x2", odd), ("progression_y2", even)):
         print(
             f"{name}: first={prog.first_term} count={prog.term_count} "
             f"last={prog.last_term} sum={prog.total}"
         )
-    print(f"shared_suffix: first={shared[0]} count={len(shared)} last={shared[-1]}")
+    print(
+        f"shared_suffix: first={shared.first_term} count={shared.term_count} "
+        f"last={shared.last_term}"
+    )
     return 0
 
 
@@ -154,20 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="appendix-style table for sides 2..B")
     p.add_argument("--to-s", type=_even_side, required=True, help="last side (even)")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_enumerate, from_s=2, format="appendix")
 
     p = sub.add_parser("invert", help="recover S, t, l from a triple")
-    p.add_argument("triple", type=_positive_int, nargs=3, metavar=("X", "Y", "Z"))
+    _add_legs(p)
     p.add_argument("--general", action="store_true", help="divide out the gcd first")
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("gnomon", help="gnomon pair and progressions of a triple")
-    p.add_argument("triple", type=_positive_int, nargs=3, metavar=("X", "Y", "Z"))
+    _add_legs(p)
     p.add_argument("--k", type=_positive_int, default=1, help="scale factor (default 1)")
     p.set_defaults(func=cmd_gnomon)
 
     p = sub.add_parser("scale", help="scale a primitive triple by K")
-    p.add_argument("triple", type=_positive_int, nargs=3, metavar=("X", "Y", "Z"))
+    _add_legs(p)
     p.add_argument("k", type=_positive_int, metavar="K")
     p.set_defaults(func=cmd_scale)
 

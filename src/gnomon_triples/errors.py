@@ -11,7 +11,7 @@ def require(condition: bool, context: object) -> None:
         raise AssertionError(context)
 
 
-class DomainError(Exception):
+class DomainError(ValueError):
     """Base class for errors caused by the caller's input values."""
 
     code = "domain-error"
@@ -30,9 +30,9 @@ class NotPrimitiveError(DomainError):
 
 
 class MalformedTripleError(DomainError):
-    """Inversion produced an impossible intermediate value.
+    """The split read off a triple is not a valid split.
 
-    Unreachable for genuine primitive triples; kept as a defensive check.
+    ``invert``'s one post-condition; unreachable for genuine primitive triples.
     """
 
     code = "malformed"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, ensure_side, split_pairs
-from .triples import PrimitiveTriple, invert, split_triple
+from .triples import PrimitiveTriple, split_of, split_triple
 
 TABLE_FORMATS = ("appendix", "tsv", "jsonl")
 
@@ -75,8 +75,8 @@ def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
 
 def index_of(triple: PrimitiveTriple) -> OrderIndex:
     """Position of a primitive triple in the total order."""
-    p = invert(triple.x, triple.y, triple.z)
-    return OrderIndex(n1=p.side // 2, n2=1 + split_pairs(p.side).index((p.t, p.l)))
+    s, t, l = split_of(*triple.values())
+    return OrderIndex(n1=s // 2, n2=1 + split_pairs(s).index((t, l)))
 
 
 def render_row(row: TableRow, fmt: str, first_of_group: bool = True) -> str:

@@ -21,21 +21,28 @@ from .partitions import Partition
 
 @dataclass(frozen=True)
 class PrimitiveTriple:
-    """A primitive Pythagorean triple with the even leg stored as y."""
+    """A primitive Pythagorean triple with the odd leg stored as x, the even leg as y.
+
+    The one definition of a primitive triple: code holding one trusts it.
+    """
 
     x: int
     y: int
     z: int
 
     def __post_init__(self) -> None:
-        if self.x < 1 or self.y < 1 or self.z < 1:
+        x, y, z = self.x, self.y, self.z
+        if x < 1 or y < 1 or z < 1:
             raise ValueError(f"triple elements must be positive: {self}")
-        if self.x % 2 != 1 or self.y % 2 != 0:
+        if x * x + y * y != z * z:
+            raise NotATripleError(f"{x}^2 + {y}^2 != {z}^2")
+        common = gcd(x, y)
+        if common > 1:
+            raise NotPrimitiveError(
+                f"({x}, {y}, {z}) has common factor {common}; not primitive"
+            )
+        if x % 2 != 1:
             raise ValueError(f"x must be odd and y even: {self}")
-        if self.x * self.x + self.y * self.y != self.z * self.z:
-            raise ValueError(f"not a Pythagorean triple: {self}")
-        if gcd(self.x, self.y) != 1:
-            raise ValueError(f"legs share a common factor: {self}")
 
     def values(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -75,20 +82,16 @@ def split_triple(s: int, t: int, l: int) -> tuple[int, int, int]:
     return x, y, x + y - s
 
 
+def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """(S, t, l) of a primitive triple, unchecked: the inverse of split_triple."""
+    l = isqrt(z - y)
+    s = x - l * l
+    return s, s // (2 * l), l
+
+
 def construct(partition: Partition) -> PrimitiveTriple:
     """Build the primitive triple generated by a (t, l) split of S."""
     return PrimitiveTriple(*split_triple(partition.side, partition.t, partition.l))
-
-
-def _sorted_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Order three positive integers as (leg, leg, hypotenuse) or fail."""
-    for value in (a, b, c):
-        if value < 1:
-            raise ValueError(f"triple elements must be positive, got {value}")
-    first, second, z = sorted((a, b, c))
-    if first * first + second * second != z * z:
-        raise NotATripleError(f"{a}^2 + {b}^2 != {c}^2 for any ordering")
-    return first, second, z
 
 
 def invert(a: int, b: int, c: int) -> Partition:
@@ -97,31 +100,12 @@ def invert(a: int, b: int, c: int) -> Partition:
     Strict: a triple with a common factor raises NotPrimitiveError; use
     decompose_general for those.
     """
-    first, second, z = _sorted_triple(a, b, c)
-    common = gcd(first, second)
-    if common > 1:
-        raise NotPrimitiveError(
-            f"({a}, {b}, {c}) has common factor {common}; not primitive"
-        )
-    if first % 2 == 1 and second % 2 == 0:
-        x, y = first, second
-    elif first % 2 == 0 and second % 2 == 1:
-        x, y = second, first
-    else:
-        # Coprime legs of a genuine triple have opposite parity.
-        raise MalformedTripleError(f"expected exactly one even leg in ({a}, {b}, {c})")
-    l = isqrt(z - y)
-    if l * l != z - y:
-        raise MalformedTripleError(f"z - y = {z - y} is not a perfect square")
-    if l % 2 == 0:
-        raise MalformedTripleError(f"z - y = {z - y} has an even square root")
-    s = x - l * l
-    if s <= 0:
-        raise MalformedTripleError(f"x - l^2 = {s} is not positive")
-    if s % (2 * l) != 0:
-        raise MalformedTripleError(f"side {s} is not divisible by 2l = {2 * l}")
+    first, second, z = sorted((a, b, c))
+    if first % 2 < second % 2:
+        first, second = second, first
+    s, t, l = split_of(*PrimitiveTriple(first, second, z).values())
     try:
-        return Partition(t=s // (2 * l), l=l, side=s)
+        return Partition(t=t, l=l, side=s)
     except ValueError as exc:
         raise MalformedTripleError(str(exc)) from exc
 

@@ -1,14 +1,25 @@
 """Command-line behavior: outputs, exit codes, and error formats."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 import xml.etree.ElementTree as ET
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnomon_triples.cli import main
+from gnomon_triples.diagrams import KINDS
 from gnomon_triples.ordering import render_table, stream
+from gnomon_triples.partitions import Partition
+from gnomon_triples.triples import construct
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +144,11 @@ class TestGnomon:
             "shared_suffix: first=33 count=4 last=39\n"
         )
 
+    def test_suffix_longer_than_sys_maxsize(self, capsys):
+        code, out, _ = run_cli(capsys, "gnomon", "3", "4", "5", "--k", "99999999999999999999")
+        assert code == 0
+        assert out.endswith(" count=99999999999999999999 last=999999999999999999989\n")
+
     def test_rejects_non_primitive(self, capsys):
         code, _, err = run_cli(capsys, "gnomon", "6", "8", "10")
         assert code == 1
@@ -255,6 +271,17 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["invert", "gnomon", "scale"])
+    def test_leg_arguments_show_in_help_and_errors(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert " X Y Z" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "3", "4"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: Z" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "gnomon_triples", "invert", "3", "4", "5"],
@@ -277,3 +304,94 @@ class TestUsage:
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""  # no traceback, no "Exception ignored" note
+
+
+# CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or
+# 2 from argparse), lets no other exception escape and finishes quickly.
+# Work is bounded so the guard stays fast: sides stay below about 10^6 and
+# --to-s minus --from-s at most 2000, because factoring is trial division, whose
+# cost grows as the square root of the side; verify's --z-max stays at most 300
+# because the brute-force oracle is O(z^2).
+FUZZ_SECONDS = 2.0
+JUNK = st.sampled_from(["0", "-1", "x", "1.5", "", "nan", "1e-300", "3,4", "--help"])
+
+
+@st.composite
+def fuzz_legs(draw):
+    """Three legs: half from a real split (in any order), half arbitrary."""
+    if draw(st.booleans()):
+        t = draw(st.integers(min_value=1, max_value=400))
+        l = 2 * draw(st.integers(min_value=0, max_value=299)) + 1
+        g = gcd(t, l)
+        t, l = t // g, l // g
+        values = draw(st.permutations(construct(Partition(t=t, l=l, side=2 * t * l)).values()))
+    else:
+        values = draw(st.lists(st.integers(1, 10**6), min_size=3, max_size=3))
+    return [str(v) for v in values]
+
+
+def fuzz_k():
+    """A scale factor of 1 to 30 digits, the digit count drawn first."""
+    digits = st.integers(1, 30)
+    return digits.flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)).map(str)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(
+        ["enumerate", "table", "invert", "gnomon", "scale", "verify", "diagram"]
+    ))
+    if command == "enumerate":
+        from_s = 2 * draw(st.integers(1, 500_000))
+        to_s = from_s + 2 * draw(st.integers(-10, 1000))
+        fmt = draw(st.sampled_from(["tsv", "jsonl", "appendix"]))
+        argv = ["--from-s", str(from_s), "--to-s", str(to_s), "--format", fmt]
+    elif command == "table":
+        argv = ["--to-s", str(2 * draw(st.integers(0, 1001)))]
+    elif command == "invert":
+        argv = draw(fuzz_legs()) + draw(st.sampled_from([[], ["--general"]]))
+    elif command == "gnomon":
+        argv = draw(fuzz_legs()) + ["--k", draw(fuzz_k())]
+    elif command == "scale":
+        argv = draw(fuzz_legs()) + [draw(fuzz_k())]
+    elif command == "verify":
+        argv = ["--z-max", str(draw(st.integers(1, 300)))]
+    else:
+        unit = draw(st.one_of(
+            st.sampled_from(["0.001", "0.01", "0.1"]),
+            st.floats(min_value=1e-9, max_value=1e4).map(repr),
+        ))
+        argv = [
+            "--kind", draw(st.sampled_from(KINDS)),
+            "--triple", ",".join(draw(fuzz_legs())),
+            "--k", draw(st.one_of(st.integers(1, 12).map(str), fuzz_k())), "--unit", unit,
+            "--out", draw(st.sampled_from(["x.svg", "x.svg", os.path.join("missing", "x.svg")])),
+        ]
+    argv = [command, *argv]
+    edit = draw(st.sampled_from(["keep", "keep", "keep", "replace", "drop"]))
+    at = draw(st.integers(0, len(argv) - 1))
+    if edit == "replace":
+        argv[at] = draw(JUNK)
+    elif edit == "drop":
+        del argv[at]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    # A fresh directory per example: function-scoped fixtures are not reset
+    # between Hypothesis examples.
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [os.path.join(out_dir, a) if a.endswith(".svg") else a for a in argv]
+        sink = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+                code = exc.code
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), argv
+    assert elapsed < FUZZ_SECONDS, (argv, elapsed)

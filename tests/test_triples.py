@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnomon_triples import triples
 from gnomon_triples.errors import (
     MalformedTripleError,
     NotATripleError,
@@ -44,16 +45,18 @@ class TestConstruct:
 
 class TestPrimitiveTripleValidation:
     def test_rejects_non_triple(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotATripleError) as exc:
             PrimitiveTriple(3, 4, 6)
+        assert isinstance(exc.value, ValueError)
 
     def test_rejects_swapped_parity(self):
         with pytest.raises(ValueError):
             PrimitiveTriple(4, 3, 5)
 
     def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrimitiveError) as exc:
             PrimitiveTriple(6, 8, 10)
+        assert isinstance(exc.value, ValueError)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -88,6 +91,12 @@ class TestInvert:
     def test_nonpositive_is_rejected(self):
         with pytest.raises(ValueError):
             invert(0, 4, 5)
+
+    def test_invalid_split_is_malformed(self, monkeypatch):
+        # The Partition constructor is invert's one post-condition; l = 2 is even.
+        monkeypatch.setattr(triples, "split_of", lambda x, y, z: (4, 1, 2))
+        with pytest.raises(MalformedTripleError):
+            invert(3, 4, 5)
 
     def test_error_codes_are_stable(self):
         assert NotATripleError.code == "not-a-triple"
