@@ -20,11 +20,9 @@ from .errors import (
 from .gnomons import (
     Gnomon,
     GnomonPair,
-    GnomonProgression,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
-    progression_on_square,
     scaled_gnomon_pair,
 )
 from .oracle import brute_force_primitive, euclid_parametrization
@@ -55,7 +53,6 @@ __all__ = [
     "GeneralTriple",
     "Gnomon",
     "GnomonPair",
-    "GnomonProgression",
     "MalformedTripleError",
     "NotATripleError",
     "NotPrimitiveError",
@@ -78,7 +75,6 @@ __all__ = [
     "overlap_terms",
     "pair_progressions",
     "partition_count",
-    "progression_on_square",
     "render",
     "render_row",
     "render_table",

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .gnomons import gnomon_pair, overlap_terms, pair_progressions
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_lines, stream
-from .triples import construct, decompose_general, invert, scale
+from .triples import construct, decompose_general, invert
 
 
 def _positive_int(text: str) -> int:
@@ -90,23 +90,22 @@ def cmd_gnomon(args) -> int:
     _print_pair(pair)
     odd, even = pair_progressions(pair)
     _, _, shared = overlap_terms(pair)
-    for name, prog in (("progression_x2", odd), ("progression_y2", even)):
+    for name, gnomon in (("progression_x2", odd), ("progression_y2", even)):
         print(
-            f"{name}: first={prog.first_term} count={prog.term_count} "
-            f"last={prog.last_term} sum={prog.total}"
+            f"{name}: first={gnomon.first_term} count={gnomon.thickness} "
+            f"last={gnomon.last_term} sum={gnomon.area}"
         )
     print(
-        f"shared_suffix: first={shared.first_term} count={shared.term_count} "
+        f"shared_suffix: first={shared.first_term} count={shared.thickness} "
         f"last={shared.last_term}"
     )
     return 0
 
 
 def cmd_scale(args) -> int:
-    base = construct(invert(*args.triple))
-    general = scale(base, args.k)
-    print(f"k={general.scale} x={general.x} y={general.y} z={general.z}")
-    _print_pair(gnomon_pair(base, args.k))
+    pair = gnomon_pair(construct(invert(*args.triple)), args.k)
+    print(f"k={pair.scale} x={pair.x} y={pair.y} z={pair.z}")
+    _print_pair(pair)
     return 0
 
 
@@ -114,17 +113,26 @@ def cmd_verify(args) -> int:
     z_max = args.z_max
     side_cap = z_max - 3
     side_cap -= side_cap % 2
-    rows = [row for row in stream(2, side_cap) if row.z <= z_max]
-    enumerated = {row.triple for row in rows}
-    brute = brute_force_primitive(z_max)
-    euclid = euclid_parametrization(z_max)
+    enumerated, rows = set(), 0
+    for row in stream(2, side_cap):
+        if row.z <= z_max:
+            enumerated.add(row.triple)
+            rows += 1
+    oracles = {"brute_force": brute_force_primitive(z_max), "euclid": euclid_parametrization(z_max)}
     print(f"enumerator: {len(enumerated)}")
-    print(f"brute_force: {len(brute)}")
-    print(f"euclid: {len(euclid)}")
-    if len(rows) == len(enumerated) and enumerated == brute == euclid:
+    for name, found in oracles.items():
+        print(f"{name}: {len(found)}")
+    if rows == len(enumerated) and all(found == enumerated for found in oracles.values()):
         print("PASS")
         return 0
     print("FAIL")
+    print(f"enumerator repeats: {rows - len(enumerated)}")
+    for name, found in oracles.items():
+        for label, extra in ((f"enumerator - {name}", enumerated - found),
+                             (f"{name} - enumerator", found - enumerated)):
+            # The count, then a bounded sample: the first 10 by hypotenuse.
+            sample = sorted(extra, key=lambda p: (p.z, p.x))[:10]
+            print(f"{label}: {len(extra)}", *(p.values() for p in sample))
     return 1
 
 
@@ -195,11 +203,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--z-max must be at least 5")
     if args.command == "enumerate" and args.from_s > args.to_s:
         parser.error(f"--from-s {args.from_s} exceeds --to-s {args.to_s}")
+    # argv was parsed under the int-to-str digit limit; results may print longer ints.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 def entry_point() -> None:

@@ -8,6 +8,7 @@ gnomon rectangles and checks that they cover exactly the paired square's area.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, require
@@ -128,11 +129,13 @@ def render(spec: DiagramSpec) -> str:
     if spec.kind == "lattice" and k * k > MAX_LATTICE_CELLS:
         raise SizeLimitError(f"a {k}x{k} lattice exceeds the limit of {MAX_LATTICE_CELLS} cells")
     frame_units, rects, cell = _build(spec)
-    frame_px = frame_units * spec.unit_px
-    if frame_px > MAX_SIDE_PX or _px(frame_px) == "0":
+    # Compared in units first: the float product overflows for a huge frame.
+    too_big = frame_units > min(MAX_SIDE_PX / spec.unit_px, sys.float_info.max)
+    size = None if too_big else _px(frame_units * spec.unit_px)
+    if size in (None, "0"):
         raise SizeLimitError(
-            f"{frame_units} units at {spec.unit_px} px/unit is {_px(frame_px)} px; "
-            f"limit is above 0 and at most {_px(MAX_SIDE_PX)} px per side"
+            f"{frame_units} units at {spec.unit_px} px/unit; a side must be "
+            f"above 0 and at most {_px(MAX_SIDE_PX)} px"
         )
 
     u = spec.unit_px
@@ -144,7 +147,6 @@ def render(spec: DiagramSpec) -> str:
             f'width="{_px(rw * u)}" height="{_px(rh * u)}"/>'
         )
 
-    size = _px(frame_px)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',

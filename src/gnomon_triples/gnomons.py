@@ -19,11 +19,14 @@ from .triples import GeneralTriple, PrimitiveTriple
 
 @dataclass(frozen=True)
 class Gnomon:
-    """An L-shaped border of thickness T inside a square of side L."""
+    """An L-shaped border of thickness T inside a square of side L.
+
+    It is also its odd-number progression: the T odd numbers from
+    2(L - T) + 1 to 2L - 1, which sum to its area T(2L - T).
+    """
 
     thickness: int
     side_length: int
-    area: int
 
     def __post_init__(self) -> None:
         if not 0 < self.thickness <= self.side_length:
@@ -31,123 +34,67 @@ class Gnomon:
                 f"thickness must lie in 1..side_length, got {self.thickness}"
                 f" for side {self.side_length}"
             )
-        expected = self.thickness * (2 * self.side_length - self.thickness)
-        if self.area != expected:
-            raise ValueError(
-                f"area {self.area} != T(2L - T) = {expected} "
-                f"for T={self.thickness}, L={self.side_length}"
-            )
 
     @property
-    def inner_side(self) -> int:
-        """Side of the square left when the gnomon is removed."""
-        return self.side_length - self.thickness
+    def area(self) -> int:
+        return self.thickness * (2 * self.side_length - self.thickness)
 
-
-@dataclass(frozen=True)
-class GnomonPair:
-    """The two gnomons of one (possibly scaled) triple over the same square.
-
-    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
-    area; ``even_gnomon`` sits on the odd-leg square and carries the even
-    leg's area.  For a scale factor k both side lengths are k*z and the
-    areas are (k*x)^2 and (k*y)^2.
-    """
-
-    odd_gnomon: Gnomon
-    even_gnomon: Gnomon
-    triple: PrimitiveTriple
-
-    def __post_init__(self) -> None:
-        side = self.odd_gnomon.side_length
-        if self.even_gnomon.side_length != side:
-            raise ValueError("both gnomons must share one outer square")
-        if side % self.triple.z != 0:
-            raise ValueError(
-                f"outer side {side} is not a multiple of z = {self.triple.z}"
-            )
-        k = side // self.triple.z
-        if self.odd_gnomon.thickness != k * (self.triple.z - self.triple.y):
-            raise ValueError("odd gnomon thickness must be k*(z - y)")
-        if self.even_gnomon.thickness != k * (self.triple.z - self.triple.x):
-            raise ValueError("even gnomon thickness must be k*(z - x)")
-
-
-@dataclass(frozen=True)
-class GnomonProgression:
-    """Consecutive odd numbers whose sum is a gnomon's area.
-
-    With first term a and n terms the sum is n(a + n - 1).
-    """
-
-    first_term: int
-    term_count: int
-
-    def __post_init__(self) -> None:
-        if self.first_term < 1 or self.first_term % 2 == 0:
-            raise ValueError(f"first term must be odd, got {self.first_term}")
-        if self.term_count < 1:
-            raise ValueError(f"term count must be positive, got {self.term_count}")
+    @property
+    def first_term(self) -> int:
+        return 2 * (self.side_length - self.thickness) + 1
 
     @property
     def last_term(self) -> int:
-        return self.first_term + 2 * (self.term_count - 1)
-
-    @property
-    def total(self) -> int:
-        return self.term_count * (self.first_term + self.term_count - 1)
+        return 2 * self.side_length - 1
 
     def terms(self) -> range:
-        """Materialize the terms lazily."""
-        return range(self.first_term, self.last_term + 1, 2)
+        """The odd-number progression, lazily."""
+        return range(self.first_term, 2 * self.side_length, 2)
+
+
+class GnomonPair(GeneralTriple):
+    """The two gnomons of a triple scaled by k, over the same kz-by-kz square.
+
+    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
+    area (kx)^2; ``even_gnomon`` sits on the odd-leg square and carries the
+    even leg's area (ky)^2.
+    """
+
+    @property
+    def odd_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.y, self.z)
+
+    @property
+    def even_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.x, self.z)
 
 
 def gnomon_pair(triple: PrimitiveTriple, k: int = 1) -> GnomonPair:
     """Both gnomons of a triple scaled by k, inside its kz-by-kz square."""
-    x, y, z = (k * value for value in triple.values())
-    return GnomonPair(
-        odd_gnomon=Gnomon(thickness=z - y, side_length=z, area=x * x),
-        even_gnomon=Gnomon(thickness=z - x, side_length=z, area=y * y),
-        triple=triple,
-    )
+    return GnomonPair(triple, k)
 
 
 def scaled_gnomon_pair(general: GeneralTriple) -> GnomonPair:
     """Gnomons of a scaled triple: thicknesses k times the primitive ones."""
-    return gnomon_pair(general.base, general.scale)
+    return GnomonPair(general.base, general.scale)
 
 
-def progression_on_square(square_side: int, gnomon_thickness: int) -> GnomonProgression:
-    """The odd-number progression of a gnomon grown on a given square.
-
-    Starts at 2*square_side + 1 and has one term per unit of thickness, so
-    it sums to (square_side + thickness)^2 - square_side^2.
-    """
-    if square_side < 1:
-        raise ValueError(f"square side must be positive, got {square_side}")
-    return GnomonProgression(first_term=2 * square_side + 1, term_count=gnomon_thickness)
+def pair_progressions(pair: GnomonPair) -> tuple[Gnomon, Gnomon]:
+    """The (odd-area, even-area) gnomons of a pair, each its own progression."""
+    return pair.odd_gnomon, pair.even_gnomon
 
 
-def pair_progressions(pair: GnomonPair) -> tuple[GnomonProgression, GnomonProgression]:
-    """Progressions for (odd-area, even-area) gnomons of a pair."""
-    odd = progression_on_square(pair.odd_gnomon.inner_side, pair.odd_gnomon.thickness)
-    even = progression_on_square(pair.even_gnomon.inner_side, pair.even_gnomon.thickness)
-    return odd, even
-
-
-def overlap_terms(
-    pair: GnomonPair,
-) -> tuple[range, GnomonProgression, GnomonProgression]:
-    """Shared suffix of the pair's two progressions, plus both progressions.
+def overlap_terms(pair: GnomonPair) -> tuple[range, Gnomon, Gnomon]:
+    """Shared suffix of the pair's two progressions, plus both gnomons.
 
     Both progressions end at one less than twice the outer side, so the one
     with fewer terms coincides with the tail of the other.  Returns
-    (shared terms as a range, longer progression, shorter progression).
+    (shared terms as a range, longer gnomon, shorter gnomon).
     """
     odd, even = pair_progressions(pair)
     # Equal thicknesses would need l^2 = 2t^2, impossible for coprime t, l.
-    require(odd.term_count != even.term_count, pair)
-    longer, shorter = (odd, even) if odd.term_count > even.term_count else (even, odd)
-    suffix_start = longer.first_term + 2 * (longer.term_count - shorter.term_count)
+    require(odd.thickness != even.thickness, pair)
+    longer, shorter = (odd, even) if odd.thickness > even.thickness else (even, odd)
+    suffix_start = longer.first_term + 2 * (longer.thickness - shorter.thickness)
     require(suffix_start == shorter.first_term, pair)
     return shorter.terms(), longer, shorter

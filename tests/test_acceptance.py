@@ -111,12 +111,12 @@ def test_criterion_5_gnomon_identities():
             assert t2 * (2 * z - t2) == y * y
 
             odd, even = pair_progressions(pair)
-            assert odd.total == x * x
-            assert even.total == y * y
+            assert odd.area == x * x
+            assert even.area == y * y
             assert odd.last_term == even.last_term == 2 * z - 1
 
             shared, longer, shorter = overlap_terms(pair)
-            suffix_first = longer.last_term - 2 * (shorter.term_count - 1)
+            suffix_first = longer.last_term - 2 * (shorter.thickness - 1)
             assert list(shared) == list(range(suffix_first, longer.last_term + 1, 2))
             assert list(shared) == list(shorter.terms())
             count += 1

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnomon_triples import cli
 from gnomon_triples.cli import main
 from gnomon_triples.diagrams import KINDS
+from gnomon_triples.oracle import brute_force_primitive
 from gnomon_triples.ordering import render_table, stream
 from gnomon_triples.partitions import Partition
-from gnomon_triples.triples import construct
+from gnomon_triples.triples import PrimitiveTriple, construct
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,31 @@ class TestVerify:
             main(["verify", "--z-max", "4"])
         assert exc.value.code == 2
 
+    def test_failure_names_the_triples_that_disagree(self, capsys, monkeypatch):
+        def brute_without_3_4_5(z_max):
+            return brute_force_primitive(z_max) - {PrimitiveTriple(3, 4, 5)}
+
+        monkeypatch.setattr(cli, "brute_force_primitive", brute_without_3_4_5)
+        code, out, _ = run_cli(capsys, "verify", "--z-max", "100")
+        assert code == 1
+        assert out == (
+            "enumerator: 16\nbrute_force: 15\neuclid: 16\nFAIL\n"
+            "enumerator repeats: 0\n"
+            "enumerator - brute_force: 1 (3, 4, 5)\n"
+            "brute_force - enumerator: 0\n"
+            "enumerator - euclid: 0\n"
+            "euclid - enumerator: 0\n"
+        )
+        # An oracle that finds nothing: the sample is the first 10 by z.
+        monkeypatch.setattr(cli, "euclid_parametrization", lambda z_max: set())
+        code, out, _ = run_cli(capsys, "verify", "--z-max", "100")
+        assert code == 1
+        line = out.splitlines()[-2]
+        first_ten = sorted(brute_force_primitive(100), key=lambda p: (p.z, p.x))[:10]
+        assert line == "enumerator - euclid: 16 " + " ".join(
+            str(p.values()) for p in first_ten
+        )
+
 
 class TestDiagram:
     def test_writes_lattice_svg(self, capsys, tmp_path):
@@ -216,10 +243,17 @@ class TestDiagram:
         assert not (tmp_path / "x.svg").exists()
 
     def test_oversized_rendering_fails_cleanly(self, capsys, tmp_path):
-        # past the pixel cap, then past the lattice cell cap at only 5 px
-        for k, unit in (("4", "5000"), ("1000", "0.001")):
+        # past the pixel cap, past the lattice cell cap at only 5 px, and a
+        # frame of 5*10^320 units, past the range of a float (at 5e-324 px
+        # per unit, 20000 px / unit is inf)
+        for kind, k, unit in (
+            ("lattice", "4", "5000"),
+            ("lattice", "1000", "0.001"),
+            ("lattice_regrouped", "1" + "0" * 320, "10"),
+            ("lattice_regrouped", "1" + "0" * 320, "5e-324"),
+        ):
             code, _, err = run_cli(
-                capsys, "diagram", "--kind", "lattice", "--triple", "3,4,5",
+                capsys, "diagram", "--kind", kind, "--triple", "3,4,5",
                 "--k", k, "--unit", unit, "--out", str(tmp_path / "x.svg"),
             )
             assert code == 1
@@ -282,6 +316,29 @@ class TestUsage:
         assert exc.value.code == 2
         assert "the following arguments are required: Z" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gnomon", "3", "4", "5", "--k", "9" * 4300],
+            ["scale", "3", "4", "5", "9" * 4300],
+            ["gnomon", *map(str, construct(Partition(t=10**1100, l=1, side=2 * 10**1100)).values())],
+            ["enumerate", "--from-s", str(2**13000), "--to-s", str(2**13000)],
+        ],
+        ids=["gnomon-k", "scale-k", "gnomon-legs", "enumerate"],
+    )
+    def test_prints_ints_longer_than_the_digit_limit(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert max(len(word) for word in out.replace("=", " ").split()) > limit
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_argument_past_the_digit_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gnomon", "3", "4", "5", "--k", "9" * 4301])
+        assert exc.value.code == 2
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "gnomon_triples", "invert", "3", "4", "5"],
@@ -313,7 +370,10 @@ class TestUsage:
 # cost grows as the square root of the side; verify's --z-max stays at most 300
 # because the brute-force oracle is O(z^2).
 FUZZ_SECONDS = 2.0
-JUNK = st.sampled_from(["0", "-1", "x", "1.5", "", "nan", "1e-300", "3,4", "--help"])
+# An integer of 4301 digits is past Python's int-to-str limit: a usage error.
+JUNK = st.sampled_from(
+    ["0", "-1", "x", "1.5", "", "nan", "1e-300", "3,4", "--help", "9" * 4301]
+)
 
 
 @st.composite
@@ -331,9 +391,19 @@ def fuzz_legs(draw):
 
 
 def fuzz_k():
-    """A scale factor of 1 to 30 digits, the digit count drawn first."""
-    digits = st.integers(1, 30)
-    return digits.flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)).map(str)
+    """A scale factor of 1 to 4400 digits, the digit count drawn first.
+
+    By default Python converts no int of more than 4300 digits to or from
+    str: such an argument is a usage error.  Half the counts are drawn from
+    2150 to 4300 digits, where the argument parses but a gnomon's area prints
+    past the limit.  Long values repeat a drawn block of digits, because the
+    test's own str() runs under the limit.
+    """
+    return st.builds(
+        lambda digits, block: (block * digits)[:digits],
+        st.integers(1, 4400) | st.integers(2150, 4300),
+        st.from_regex(r"[1-9][0-9]{0,29}", fullmatch=True),
+    )
 
 
 @st.composite

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from gnomon_triples.gnomons import (
     Gnomon,
     GnomonPair,
-    GnomonProgression,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
-    progression_on_square,
     scaled_gnomon_pair,
 )
 from gnomon_triples.ordering import stream
@@ -51,54 +49,45 @@ class TestGnomonPair:
 
     def test_gnomon_validation(self):
         with pytest.raises(ValueError):
-            Gnomon(thickness=0, side_length=5, area=0)
+            Gnomon(thickness=0, side_length=5)
         with pytest.raises(ValueError):
-            Gnomon(thickness=6, side_length=5, area=30)
-        with pytest.raises(ValueError):
-            Gnomon(thickness=1, side_length=5, area=10)  # area != T(2L - T)
+            Gnomon(thickness=6, side_length=5)
 
-    def test_pair_validation_rejects_mismatched_sides(self):
-        with pytest.raises(ValueError):
-            GnomonPair(
-                odd_gnomon=Gnomon(1, 5, 9),
-                even_gnomon=Gnomon(2, 10, 36),
-                triple=PrimitiveTriple(3, 4, 5),
-            )
+    def test_scale_below_one_is_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                gnomon_pair(PrimitiveTriple(3, 4, 5), k)
+            with pytest.raises(ValueError):
+                GnomonPair(PrimitiveTriple(3, 4, 5), k)
 
 
 class TestProgressionOnSquare:
     def test_two_terms_on_odd_square(self):
-        prog = progression_on_square(3, 2)
+        prog = Gnomon(2, 3 + 2)
         assert list(prog.terms()) == [7, 9]
-        assert prog.total == sum([7, 9]) == 16
+        assert prog.area == sum([7, 9]) == 16
 
     def test_single_term_on_even_square(self):
-        prog = progression_on_square(4, 1)
+        prog = Gnomon(1, 4 + 1)
         assert list(prog.terms()) == [9]
-        assert prog.total == 9
+        assert prog.area == 9
 
     def test_nine_terms(self):
-        prog = progression_on_square(8, 9)
+        prog = Gnomon(9, 8 + 9)
         assert list(prog.terms()) == list(range(17, 34, 2))
-        assert prog.total == sum(range(17, 34, 2)) == 225
+        assert prog.area == sum(range(17, 34, 2)) == 225
 
     def test_total_is_difference_of_squares(self):
         for side in range(1, 60):
             for thickness in range(1, 60):
-                prog = progression_on_square(side, thickness)
-                assert prog.total == (side + thickness) ** 2 - side**2
+                prog = Gnomon(thickness, side + thickness)
+                assert prog.area == (side + thickness) ** 2 - side**2
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            progression_on_square(0, 1)
+            Gnomon(1, 0)  # on a square of side -1
         with pytest.raises(ValueError):
-            progression_on_square(1, 0)
-
-    def test_progression_validation(self):
-        with pytest.raises(ValueError):
-            GnomonProgression(first_term=8, term_count=1)
-        with pytest.raises(ValueError):
-            GnomonProgression(first_term=7, term_count=0)
+            Gnomon(0, 1)  # no terms
 
 
 class TestOverlap:
@@ -122,19 +111,19 @@ class TestOverlap:
     def test_shorter_is_a_suffix_of_longer(self):
         for row in stream(2, 300):
             shared, longer, shorter = overlap_terms(gnomon_pair(row.triple))
-            assert longer.term_count > shorter.term_count
-            assert list(shared) == list(longer.terms())[-shorter.term_count :]
+            assert longer.thickness > shorter.thickness
+            assert list(shared) == list(longer.terms())[-shorter.thickness :]
             assert list(shared) == list(shorter.terms())
 
     def test_smaller_side_picks_the_smaller_progression(self):
         # x < y: the shorter progression sits on the even-leg square
         pair = gnomon_pair(PrimitiveTriple(3, 4, 5))
         _, _, shorter = overlap_terms(pair)
-        assert shorter.term_count == pair.odd_gnomon.thickness
+        assert shorter == pair.odd_gnomon
         # y < x: the shorter progression sits on the odd-leg square
         pair = gnomon_pair(PrimitiveTriple(15, 8, 17))
         _, _, shorter = overlap_terms(pair)
-        assert shorter.term_count == pair.even_gnomon.thickness
+        assert shorter == pair.even_gnomon
 
     def test_long_shared_suffix_is_not_materialized(self):
         # t=1000, l=1001: the shared suffix has l^2 = 1 002 001 terms.
@@ -145,7 +134,7 @@ class TestOverlap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(shared) == shorter.term_count == 1001**2
+        assert len(shared) == shorter.thickness == 1001**2
         assert (shared[0], shared[-1]) == (shorter.first_term, shorter.last_term)
         assert peak < 1 << 20
 
@@ -204,8 +193,8 @@ class TestScaledPairs:
             pair = scaled_gnomon_pair(scale(PrimitiveTriple(5, 12, 13), k))
             shared, longer, shorter = overlap_terms(pair)
             assert longer.last_term == shorter.last_term == 2 * 13 * k - 1
-            assert list(shared) == list(longer.terms())[-shorter.term_count :]
-            assert longer.total == max(pair.odd_gnomon.area, pair.even_gnomon.area)
+            assert list(shared) == list(longer.terms())[-shorter.thickness :]
+            assert longer.area == max(pair.odd_gnomon.area, pair.even_gnomon.area)
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,5 +203,5 @@ class TestScaledPairs:
     st.integers(min_value=1, max_value=3000),
 )
 def test_random_progressions_sum_term_by_term(side, thickness):
-    prog = progression_on_square(side, thickness)
-    assert prog.total == sum(prog.terms()) == (side + thickness) ** 2 - side**2
+    prog = Gnomon(thickness, side + thickness)
+    assert prog.area == sum(prog.terms()) == (side + thickness) ** 2 - side**2
