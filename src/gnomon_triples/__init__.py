@@ -26,9 +26,8 @@ from .gnomons import (
     scaled_gnomon_pair,
 )
 from .oracle import brute_force_primitive, euclid_parametrization
-from .ordering import OrderIndex, TableRow, index_of, render_row, render_table, stream
+from .ordering import TableRow, index_of, render_row, render_table, stream
 from .partitions import (
-    OddFactorProfile,
     Partition,
     ensure_side,
     enumerate_partitions,
@@ -56,8 +55,6 @@ __all__ = [
     "MalformedTripleError",
     "NotATripleError",
     "NotPrimitiveError",
-    "OddFactorProfile",
-    "OrderIndex",
     "Partition",
     "PrimitiveTriple",
     "SizeLimitError",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
-from .gnomons import gnomon_pair, overlap_terms, pair_progressions
+from .gnomons import gnomon_pair, overlap_terms
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_lines, stream
 from .triples import construct, decompose_general, invert
@@ -63,8 +63,7 @@ def _add_legs(p: argparse.ArgumentParser) -> None:
         p.add_argument("triple", type=_positive_int, action="append", metavar=metavar)
 
 
-def _print_pair(pair) -> None:
-    odd, even = pair.odd_gnomon, pair.even_gnomon
+def _print_pair(odd, even) -> None:
     print(f"T1={odd.thickness} T2={even.thickness} L={odd.side_length}")
 
 
@@ -87,8 +86,8 @@ def cmd_invert(args) -> int:
 
 def cmd_gnomon(args) -> int:
     pair = gnomon_pair(construct(invert(*args.triple)), args.k)
-    _print_pair(pair)
-    odd, even = pair_progressions(pair)
+    odd, even = pair.odd_gnomon, pair.even_gnomon
+    _print_pair(odd, even)
     _, _, shared = overlap_terms(pair)
     for name, gnomon in (("progression_x2", odd), ("progression_y2", even)):
         print(
@@ -105,7 +104,7 @@ def cmd_gnomon(args) -> int:
 def cmd_scale(args) -> int:
     pair = gnomon_pair(construct(invert(*args.triple)), args.k)
     print(f"k={pair.scale} x={pair.x} y={pair.y} z={pair.z}")
-    _print_pair(pair)
+    _print_pair(pair.odd_gnomon, pair.even_gnomon)
     return 0
 
 

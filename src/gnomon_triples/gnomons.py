@@ -95,6 +95,4 @@ def overlap_terms(pair: GnomonPair) -> tuple[range, Gnomon, Gnomon]:
     # Equal thicknesses would need l^2 = 2t^2, impossible for coprime t, l.
     require(odd.thickness != even.thickness, pair)
     longer, shorter = (odd, even) if odd.thickness > even.thickness else (even, odd)
-    suffix_start = longer.first_term + 2 * (longer.thickness - shorter.thickness)
-    require(suffix_start == shorter.first_term, pair)
     return shorter.terms(), longer, shorter

@@ -7,7 +7,6 @@ inward visits every primitive triple exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, ensure_side, split_pairs
@@ -16,25 +15,11 @@ from .triples import PrimitiveTriple, split_of, split_triple
 TABLE_FORMATS = ("appendix", "tsv", "jsonl")
 
 
-@dataclass(frozen=True)
-class OrderIndex:
-    """Two-level position of a triple: side rank N, split rank n within it."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self) -> None:
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"index levels must be positive: {self}")
-
-    def label(self) -> str:
-        return f"{self.n1}.{self.n2}"
-
-
 class TableRow(NamedTuple):
     """One row of the order; the fields are exactly the jsonl keys.
 
-    Built unchecked by ``stream``; ``index``, ``partition`` and ``triple`` validate.
+    (n1, n2) is the row's place in the order.  Built unchecked by ``stream``;
+    ``partition`` and ``triple`` validate.
     """
 
     n1: int
@@ -45,10 +30,6 @@ class TableRow(NamedTuple):
     x: int
     y: int
     z: int
-
-    @property
-    def index(self) -> OrderIndex:
-        return OrderIndex(self.n1, self.n2)
 
     @property
     def partition(self) -> Partition:
@@ -73,10 +54,11 @@ def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
             yield TableRow(side // 2, rank, side, t, l, *split_triple(side, t, l))
 
 
-def index_of(triple: PrimitiveTriple) -> OrderIndex:
-    """Position of a primitive triple in the total order."""
-    s, t, l = split_of(*triple.values())
-    return OrderIndex(n1=s // 2, n2=1 + split_pairs(s).index((t, l)))
+def index_of(triple: PrimitiveTriple) -> TableRow:
+    """The row of a primitive triple in the total order."""
+    x, y, z = triple.values()
+    s, t, l = split_of(x, y, z)
+    return TableRow(s // 2, 1 + split_pairs(s).index((t, l)), s, t, l, x, y, z)
 
 
 def render_row(row: TableRow, fmt: str, first_of_group: bool = True) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
 
 def ensure_side(value: int) -> int:
@@ -21,18 +20,6 @@ def ensure_side(value: int) -> int:
     if value < 2 or value % 2 != 0:
         raise ValueError(f"side must be a positive even integer, got {value}")
     return value
-
-
-class OddFactorProfile(NamedTuple):
-    """Complete factorization of a side: 2^two_exponent times odd prime powers.
-
-    ``odd_prime_powers`` holds (prime, exponent) pairs with strictly
-    increasing primes and every exponent >= 1.  Only ``factor_side`` builds
-    one, so it is not re-checked.
-    """
-
-    two_exponent: int
-    odd_prime_powers: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -57,13 +44,11 @@ class Partition:
             raise ValueError(f"t and l must be coprime, got t={self.t}, l={self.l}")
 
 
-def factor_side(side: int) -> OddFactorProfile:
-    """Factor a side by trial division up to its square root."""
+def factor_side(side: int) -> tuple[tuple[int, int], ...]:
+    """The side's odd (prime, exponent) pairs by increasing prime, by trial division."""
     remaining = ensure_side(side)
-    two_exponent = 0
     while remaining % 2 == 0:
         remaining //= 2
-        two_exponent += 1
     odd_powers: list[tuple[int, int]] = []
     prime = 3
     while prime * prime <= remaining:
@@ -76,12 +61,12 @@ def factor_side(side: int) -> OddFactorProfile:
         prime += 2
     if remaining > 1:
         odd_powers.append((remaining, 1))
-    return OddFactorProfile(two_exponent, tuple(odd_powers))
+    return tuple(odd_powers)
 
 
 def partition_count(side: int) -> int:
     """Number of valid (t, l) splits of a side: 2^j over its distinct odd primes."""
-    return 1 << len(factor_side(side).odd_prime_powers)
+    return 1 << len(factor_side(side))
 
 
 def split_pairs(side: int) -> list[tuple[int, int]]:
@@ -91,7 +76,7 @@ def split_pairs(side: int) -> list[tuple[int, int]]:
     t takes everything else, including all factors of 2.
     """
     ls = [1]
-    for prime, exponent in factor_side(side).odd_prime_powers:
+    for prime, exponent in factor_side(side):
         atom = prime**exponent
         ls += [l * atom for l in ls]
     return sorted((side // (2 * l), l) for l in ls)

@@ -351,15 +351,15 @@ class TestUsage:
 
     def test_closed_stdout_exits_one_without_a_traceback(self):
         # Far more output than a pipe buffers, so writes meet the closed pipe.
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "gnomon_triples", "table", "--to-s", "20000"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.readline() == b"1.1\t2\t1\t1\t3\t4\t5\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
+        ) as proc:
+            assert proc.stdout.readline() == b"1.1\t2\t1\t1\t3\t4\t5\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
         assert err == b""  # no traceback, no "Exception ignored" note
 
 

@@ -1,6 +1,7 @@
 """Gnomon pairs, their odd-number progressions, and the suffix overlap."""
 
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -141,17 +142,21 @@ class TestOverlap:
 
 class TestTermByTermSums:
     def test_progressions_sum_to_their_squares_term_by_term(self):
-        # Independent of the closed form: materialize and add every term.
+        # Independent of the closed form: every odd number below 2 * bound is
+        # added once, and a progression's sum is a difference of running sums.
         bound = 100_000
         side_cap = bound - 3 - (bound - 3) % 2
+        odds = range(1, 2 * bound, 2)
+        prefix = [0, *accumulate(odds)]
         checked = 0
         for row in stream(2, side_cap):
-            if row.triple.z > bound:
+            z = row.z
+            if z > bound:
                 continue
-            pair = gnomon_pair(row.triple)
-            odd, even = pair_progressions(pair)
-            assert sum(odd.terms()) == pair.odd_gnomon.area == row.triple.x ** 2
-            assert sum(even.terms()) == pair.even_gnomon.area == row.triple.y ** 2
+            progressions = pair_progressions(gnomon_pair(row.triple))
+            for g, leg in zip(progressions, (row.x, row.y)):
+                assert g.terms() == odds[z - g.thickness : z]
+                assert prefix[z] - prefix[z - g.thickness] == g.area == leg ** 2
             checked += 1
         assert checked == 15919
 

@@ -5,26 +5,20 @@ import json
 import pytest
 
 from gnomon_triples.oracle import brute_force_primitive
-from gnomon_triples.ordering import (
-    OrderIndex,
-    index_of,
-    render_row,
-    render_table,
-    stream,
-)
-from gnomon_triples.triples import PrimitiveTriple, construct
+from gnomon_triples.ordering import TableRow, index_of, render_row, render_table, stream
+from gnomon_triples.triples import PrimitiveTriple, construct, invert
 
 
 class TestStream:
     def test_first_side_yields_one_row(self):
         rows = list(stream(2, 2))
         assert len(rows) == 1
-        assert rows[0].index == OrderIndex(1, 1)
+        assert rows[0][:2] == (1, 1)
         assert rows[0].triple.values() == (3, 4, 5)
 
     def test_side_thirty_yields_four_rows(self):
         rows = list(stream(30, 30))
-        assert [r.index.label() for r in rows] == ["15.1", "15.2", "15.3", "15.4"]
+        assert [(r.n1, r.n2) for r in rows] == [(15, 1), (15, 2), (15, 3), (15, 4)]
         assert [r.triple.values() for r in rows] == [
             (255, 32, 257),
             (55, 48, 73),
@@ -38,13 +32,13 @@ class TestStream:
     def test_rows_strictly_increase(self):
         previous = (0, 0)
         for row in stream(2, 400):
-            key = (row.index.n1, row.index.n2)
+            key = (row.n1, row.n2)
             assert key > previous
             previous = key
 
     def test_rows_match_their_own_index(self):
         for row in stream(2, 300):
-            assert index_of(row.triple) == row.index
+            assert index_of(row.triple) == row
             assert row.triple == construct(row.partition)
 
     def test_lazy_first_row_without_exhaustion(self):
@@ -83,13 +77,11 @@ class TestIndexOf:
         ],
     )
     def test_known_positions(self, triple, n1, n2):
-        assert index_of(PrimitiveTriple(*triple)) == OrderIndex(n1, n2)
+        assert index_of(PrimitiveTriple(*triple))[:2] == (n1, n2)
 
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            OrderIndex(0, 1)
-        with pytest.raises(ValueError):
-            OrderIndex(1, 0)
+    def test_returns_the_whole_row(self):
+        row = index_of(construct(invert(55, 48, 73)))
+        assert row == TableRow(n1=15, n2=2, s=30, t=3, l=5, x=55, y=48, z=73)
 
 
 class TestRenderTable:

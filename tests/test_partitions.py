@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnomon_triples.partitions import (
-    OddFactorProfile,
     Partition,
     ensure_side,
     enumerate_partitions,
@@ -47,29 +46,27 @@ class TestEnsureSide:
 
 class TestFactorSide:
     def test_power_of_two_has_no_odd_part(self):
-        assert factor_side(2) == OddFactorProfile(1, ())
+        assert factor_side(2) == ()
 
     def test_two_odd_primes(self):
-        assert factor_side(30) == OddFactorProfile(1, ((3, 1), (5, 1)))
+        assert factor_side(30) == ((3, 1), (5, 1))
 
     def test_prime_power_collapses_to_one_entry(self):
-        assert factor_side(48) == OddFactorProfile(4, ((3, 1),))
+        assert factor_side(48) == ((3, 1),)
 
     def test_profile_reconstructs_the_side(self):
         for side in range(2, 5000, 2):
-            profile = factor_side(side)
-            product = 1 << profile.two_exponent
-            for prime, exponent in profile.odd_prime_powers:
+            product = side & -side  # the side's power of 2
+            for prime, exponent in factor_side(side):
                 product *= prime**exponent
             assert product == side
 
     def test_matches_independent_factorization(self):
         for side in range(2, 2000, 2):
             reference = sympy.factorint(side)
-            profile = factor_side(side)
-            assert profile.two_exponent == reference.pop(2)
+            reference.pop(2)
             # increasing odd primes, each exponent >= 1, exactly as sympy has them
-            assert profile.odd_prime_powers == tuple(sorted(reference.items()))
+            assert factor_side(side) == tuple(sorted(reference.items()))
 
 
 class TestPartitionCount:
