@@ -19,6 +19,7 @@ from .errors import DomainError
 from .gnomons import gnomon_pair, overlap_terms
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_lines, stream
+from .partitions import BASE_PRIME_CAP, PSI_13
 from .triples import construct, decompose_general, invert
 
 
@@ -147,6 +148,13 @@ def cmd_diagram(args) -> int:
     return 0
 
 
+SIZE_LIMIT = (
+    f"Sides are factored exactly up to a bound: a side that still has a factor of "
+    f"{PSI_13} (about 3.3e24) or more once its primes up to {BASE_PRIME_CAP} "
+    f"are divided out ends the run with 'error: size-limit:' (exit 1)."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnomon-triples",
@@ -155,13 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="stream ordered rows for a side range")
+    p = sub.add_parser("enumerate", help="stream ordered rows for a side range", epilog=SIZE_LIMIT)
     p.add_argument("--from-s", type=_even_side, default=2, help="first side (even, default 2)")
     p.add_argument("--to-s", type=_even_side, required=True, help="last side (even)")
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("table", help="appendix-style table for sides 2..B")
+    p = sub.add_parser("table", help="appendix-style table for sides 2..B", epilog=SIZE_LIMIT)
     p.add_argument("--to-s", type=_even_side, required=True, help="last side (even)")
     p.set_defaults(func=cmd_enumerate, from_s=2, format="appendix")
 

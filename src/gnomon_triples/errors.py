@@ -39,6 +39,12 @@ class MalformedTripleError(DomainError):
 
 
 class SizeLimitError(DomainError):
-    """A rendered diagram would exceed the pixel size limit or round to 0 px."""
+    """An input past a documented size limit.
+
+    A rendered diagram would exceed the pixel size limit or round to 0 px,
+    or factoring a side leaves a cofactor at or above psi_13 (about
+    3.3 * 10^24) once the primes up to 2^16 are divided out, past which
+    primality is not proven.
+    """
 
     code = "size-limit"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, ensure_side, split_pairs
+from .partitions import Partition, factor_odd, factor_window, split_pairs
 from .triples import PrimitiveTriple, split_of, split_triple
 
 TABLE_FORMATS = ("appendix", "tsv", "jsonl")
@@ -43,22 +43,23 @@ class TableRow(NamedTuple):
 def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
     """Rows for all sides in [from_s, to_s], ordered by (N, n).
 
-    Lazy: rows for one side are produced without touching later sides.
+    Lazy: rows for one side are produced without factoring past its sieve segment.
     """
-    ensure_side(from_s)
-    ensure_side(to_s)
-    if from_s > to_s:
-        raise ValueError(f"empty side range: {from_s} > {to_s}")
-    for side in range(from_s, to_s + 1, 2):
-        for rank, (t, l) in enumerate(split_pairs(side), start=1):
+    for side, odd_powers in factor_window(from_s, to_s):
+        for rank, (t, l) in enumerate(split_pairs(side, odd_powers), start=1):
             yield TableRow(side // 2, rank, side, t, l, *split_triple(side, t, l))
 
 
 def index_of(triple: PrimitiveTriple) -> TableRow:
-    """The row of a primitive triple in the total order."""
+    """The row of a primitive triple in the total order.
+
+    t and l are coprime, so the side's odd prime powers are theirs, each
+    factored on its own.
+    """
     x, y, z = triple.values()
     s, t, l = split_of(x, y, z)
-    return TableRow(s // 2, 1 + split_pairs(s).index((t, l)), s, t, l, x, y, z)
+    odd_powers = sorted(factor_odd(t // (t & -t)) + factor_odd(l))
+    return TableRow(s // 2, 1 + split_pairs(s, odd_powers).index((t, l)), s, t, l, x, y, z)
 
 
 def render_row(row: TableRow, fmt: str, first_of_group: bool = True) -> str:

@@ -5,12 +5,39 @@ gcd(t, l) = 1 forces every factor of 2 into t and each odd prime power of S
 entirely into t or entirely into l, so the valid splits correspond exactly
 to the subsets of the distinct odd primes of S: there are 2^j of them,
 where j counts those primes.
+
+One factoring layer serves both ways in.  A window of sides is factored by one segmented sieve of
+Eratosthenes over its half-sides, with the odd primes up to
+min(sqrt(S/2), 2^16).  A single number has the primes up to 2^10 divided
+out, and the rest of the primes up to 2^16 only while its cofactor is past
+the exact bound below.  Both hand the cofactor left over to one finisher.
+A cofactor with no prime factor up to a bound b is prime when it is below
+(b + 1)^2; otherwise deterministic Miller-Rabin with the first 13 prime
+bases decides, which is exact below psi_13 = 3 317 044 064 679 887 385 961 981
+(Sorenson and Webster 2015, arXiv:1509.00864), and Brent's rho (BIT 20,
+1980) splits a composite.  A cofactor at or above psi_13 is refused with
+``SizeLimitError``: past it, primality is not proven.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
+from itertools import compress, count
+from math import gcd, isqrt
+from typing import Iterable, Iterator
+
+from .errors import SizeLimitError
+
+BASE_PRIME_CAP = 2**16
+# The primes a single number always has divided out before the finisher.
+POINT_PRIME_CAP = 2**10
+# Half-sides per sieve segment: the per-segment lists stay small.
+SEGMENT_LENGTH = 256
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def ensure_side(value: int) -> int:
@@ -44,24 +71,148 @@ class Partition:
             raise ValueError(f"t and l must be coprime, got t={self.t}, l={self.l}")
 
 
-def factor_side(side: int) -> tuple[tuple[int, int], ...]:
-    """The side's odd (prime, exponent) pairs by increasing prime, by trial division."""
-    remaining = ensure_side(side)
-    while remaining % 2 == 0:
-        remaining //= 2
-    odd_powers: list[tuple[int, int]] = []
-    prime = 3
-    while prime * prime <= remaining:
-        if remaining % prime == 0:
-            exponent = 0
-            while remaining % prime == 0:
-                remaining //= prime
+@cache
+def _base_primes() -> array:
+    """The odd primes up to BASE_PRIME_CAP, sieved once on first use."""
+    sieve = bytearray([1]) * (BASE_PRIME_CAP + 1)
+    for p in range(3, isqrt(BASE_PRIME_CAP) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, BASE_PRIME_CAP + 1, 2 * p)))
+    return array("H", compress(range(3, BASE_PRIME_CAP + 1, 2), sieve[3::2]))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases; exact for 41 < n < PSI_13."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's rho.
+
+    The maps y -> y^2 + c are tried for c = 1, 2, 3, ... from y = 2, so a
+    run is reproducible.
+    """
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def _finish(cofactor: int, bound: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of a cofactor > 1 with no prime factor up to bound."""
+    if cofactor < (bound + 1) ** 2:
+        return [(cofactor, 1)]
+    if cofactor >= PSI_13:
+        raise SizeLimitError(
+            f"factor {cofactor} is left after removing the primes up to {bound}; "
+            f"primality is proven exact only below {PSI_13}"
+        )
+    if _is_prime(cofactor):
+        return [(cofactor, 1)]
+    root = isqrt(cofactor)
+    if root * root == cofactor:  # rho would take as long on p^2 as on p * q
+        return [(p, 2 * e) for p, e in _finish(root, bound)]
+    d = _rho(cofactor)
+    exponents: dict[int, int] = {}
+    for part in (d, cofactor // d):
+        for p, e in _finish(part, bound):
+            exponents[p] = exponents.get(p, 0) + e
+    return sorted(exponents.items())
+
+
+def factor_odd(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of an odd n >= 1, by increasing prime.
+
+    Divides out the primes up to POINT_PRIME_CAP, or all base primes while
+    the cofactor is at least PSI_13, stopping early once it is 1 or prime.
+    """
+    found = []
+    bound = BASE_PRIME_CAP
+    for p in _base_primes():
+        if p * p > n or (p > POINT_PRIME_CAP and n < PSI_13):
+            bound = p - 1
+            break
+        if n % p == 0:
+            n //= p
+            exponent = 1
+            while n % p == 0:
+                n //= p
                 exponent += 1
-            odd_powers.append((prime, exponent))
-        prime += 2
-    if remaining > 1:
-        odd_powers.append((remaining, 1))
-    return tuple(odd_powers)
+            found.append((p, exponent))
+    if n > 1:
+        found += _finish(n, bound)
+    return tuple(found)
+
+
+def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(side, odd (prime, exponent) pairs) for every side in [from_s, to_s], in order.
+
+    One segmented sieve over the half-sides: each segment of SEGMENT_LENGTH
+    half-sides is factored by the odd primes up to min(sqrt(to_s/2), 2^16),
+    lazily, so a side's factors come without touching later segments.
+    """
+    ensure_side(from_s)
+    ensure_side(to_s)
+    if from_s > to_s:
+        raise ValueError(f"empty side range: {from_s} > {to_s}")
+    first, last = from_s // 2, to_s // 2
+    bound = min(isqrt(last), BASE_PRIME_CAP)
+    primes = _base_primes()[: bisect_right(_base_primes(), bound)]
+    for start in range(first, last + 1, SEGMENT_LENGTH):
+        halves = range(start, min(start + SEGMENT_LENGTH, last + 1))
+        rests = [h >> ((h & -h).bit_length() - 1) for h in halves]
+        found: list[list[tuple[int, int]]] = [[] for _ in halves]
+        for p in primes:
+            for i in range(-start % p, len(halves), p):
+                n = rests[i] // p
+                exponent = 1
+                while n % p == 0:
+                    n //= p
+                    exponent += 1
+                rests[i] = n
+                found[i].append((p, exponent))
+        for h, n, powers in zip(halves, rests, found):
+            if n > 1:
+                powers += _finish(n, bound)
+            yield 2 * h, tuple(powers)
+
+
+def factor_side(side: int) -> tuple[tuple[int, int], ...]:
+    """The side's odd (prime, exponent) pairs by increasing prime."""
+    ensure_side(side)
+    return factor_odd(side // (side & -side))
 
 
 def partition_count(side: int) -> int:
@@ -69,14 +220,14 @@ def partition_count(side: int) -> int:
     return 1 << len(factor_side(side))
 
 
-def split_pairs(side: int) -> list[tuple[int, int]]:
-    """All (t, l) splits of a side as plain pairs, sorted by strictly increasing t.
+def split_pairs(side: int, odd_powers: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """All (t, l) splits of a side from its odd (prime, exponent) pairs, by increasing t.
 
     l runs over the products of subsets of the odd prime-power components;
     t takes everything else, including all factors of 2.
     """
     ls = [1]
-    for prime, exponent in factor_side(side):
+    for prime, exponent in odd_powers:
         atom = prime**exponent
         ls += [l * atom for l in ls]
     return sorted((side // (2 * l), l) for l in ls)
@@ -84,4 +235,4 @@ def split_pairs(side: int) -> list[tuple[int, int]]:
 
 def enumerate_partitions(side: int) -> list[Partition]:
     """All (t, l) splits of a side as validated Partitions, sorted by t."""
-    return [Partition(t=t, l=l, side=side) for t, l in split_pairs(side)]
+    return [Partition(t=t, l=l, side=side) for t, l in split_pairs(side, factor_side(side))]

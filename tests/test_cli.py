@@ -124,6 +124,31 @@ class TestEnumerate:
             main(["enumerate", "--from-s", "30", "--to-s", "4"])
         assert exc.value.code == 2
 
+    def test_side_with_a_prime_half_near_10_18(self, capsys):
+        side = str(2 * (10**18 + 3))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "--from-s", side, "--to-s", side)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[:4] for line in out.splitlines()] == [
+            ["1000000000000000003.1", side, "1", "1000000000000000003"],
+            ["1000000000000000003.2", side, "1000000000000000003", "1"],
+        ]
+
+    @pytest.mark.parametrize("command", ["enumerate", "table"])
+    def test_help_states_the_size_limit(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "'error: size-limit:' (exit 1)" in capsys.readouterr().out
+
+    def test_prime_half_side_past_the_bound_is_a_size_limit(self, capsys):
+        side = str(2 * 3317044064679887385962123)  # the first prime past psi_13
+        code, out, err = run_cli(capsys, "enumerate", "--from-s", side, "--to-s", side)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: size-limit:")
+        assert len(err.splitlines()) == 1
+
 
 class TestGnomon:
     def test_smallest_triple(self, capsys):
@@ -365,10 +390,11 @@ class TestUsage:
 
 # CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or
 # 2 from argparse), lets no other exception escape and finishes quickly.
-# Work is bounded so the guard stays fast: sides stay below about 10^6 and
-# --to-s minus --from-s at most 2000, because factoring is trial division, whose
-# cost grows as the square root of the side; verify's --z-max stays at most 300
-# because the brute-force oracle is O(z^2).
+# enumerate's sides reach 10^30, past the factoring bound psi_13 (about
+# 3.3e24), where a side ends in the size-limit error; below it, rho's cost on
+# a cofactor grows with the square root of its smaller prime factor, so windows
+# above 10^12 span at most 20 side units (2000 below).  verify's --z-max stays
+# at most 300 because the brute-force oracle is O(z^2).
 FUZZ_SECONDS = 2.0
 # An integer of 4301 digits is past Python's int-to-str limit: a usage error.
 JUNK = st.sampled_from(
@@ -412,8 +438,9 @@ def fuzz_argv(draw):
         ["enumerate", "table", "invert", "gnomon", "scale", "verify", "diagram"]
     ))
     if command == "enumerate":
-        from_s = 2 * draw(st.integers(1, 500_000))
-        to_s = from_s + 2 * draw(st.integers(-10, 1000))
+        # log-uniform by decade up to 10^30
+        from_s = 2 * draw(st.integers(0, 29).flatmap(lambda e: st.integers(1, 5 * 10**e)))
+        to_s = from_s + 2 * draw(st.integers(-10, 10 if from_s > 10**12 else 1000))
         fmt = draw(st.sampled_from(["tsv", "jsonl", "appendix"]))
         argv = ["--from-s", str(from_s), "--to-s", str(to_s), "--format", fmt]
     elif command == "table":

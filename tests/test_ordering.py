@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from gnomon_triples import partitions
 from gnomon_triples.oracle import brute_force_primitive
 from gnomon_triples.ordering import TableRow, index_of, render_row, render_table, stream
+from gnomon_triples.partitions import Partition
 from gnomon_triples.triples import PrimitiveTriple, construct, invert
 
 
@@ -82,6 +84,15 @@ class TestIndexOf:
     def test_returns_the_whole_row(self):
         row = index_of(construct(invert(55, 48, 73)))
         assert row == TableRow(n1=15, n2=2, s=30, t=3, l=5, x=55, y=48, z=73)
+
+    def test_prime_t_and_l_need_no_rho(self, monkeypatch):
+        def no_rho(n):
+            raise AssertionError(f"rho was run on {n}")
+
+        monkeypatch.setattr(partitions, "_rho", no_rho)
+        t, l = 10_000_019, 10_000_079  # both prime: splits (1, tl), (t, l), (l, t), (tl, 1)
+        row = index_of(construct(Partition(t=t, l=l, side=2 * t * l)))
+        assert (row.n1, row.n2, row.t, row.l) == (t * l, 2, t, l)
 
 
 class TestRenderTable:

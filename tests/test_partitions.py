@@ -7,11 +7,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnomon_triples import partitions
+from gnomon_triples.errors import SizeLimitError
 from gnomon_triples.partitions import (
+    PSI_13,
     Partition,
     ensure_side,
     enumerate_partitions,
     factor_side,
+    factor_window,
     partition_count,
 )
 
@@ -141,3 +145,120 @@ def test_random_sides_obey_the_power_law(half_side):
     for p in parts:
         assert 2 * p.t * p.l == side and p.l % 2 == 1 and gcd(p.t, p.l) == 1
     assert [p.t for p in parts] == sorted({p.t for p in parts})
+
+
+def odd_factorint(side: int) -> tuple[tuple[int, int], ...]:
+    """sympy's factorization of a side without its 2s, as factor_side gives it."""
+    reference = sympy.factorint(side)
+    reference.pop(2, None)
+    return tuple(sorted(reference.items()))
+
+
+def sieved(from_s: int, to_s: int, segment: int = 7) -> list:
+    """The window sieve's output, with segments short enough to cross many."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "SEGMENT_LENGTH", segment)
+        return list(factor_window(from_s, to_s))
+
+
+@st.composite
+def known_factorizations(draw):
+    """(odd n < 10^24, its factorization), built from sympy primes.
+
+    A semiprime p*q or a prime power below 10^21, times an odd cofactor
+    below 1000.  The
+    factorization is known by construction, which is what sympy.factorint
+    would return without factoring anything big.  The smaller prime of a
+    semiprime stays below 10^8, which keeps rho's cost small.
+    """
+    if draw(st.booleans()):
+        p = sympy.nextprime(draw(st.integers(2, 10**8)))
+        q = sympy.nextprime(draw(st.integers(p, 10**21 // p)))
+        powers = {p: 1}
+        powers[q] = powers.get(q, 0) + 1
+    else:
+        p = sympy.nextprime(draw(st.integers(2, 10**12)))
+        exponent = 1
+        while p ** (exponent + 1) < 10**21 and draw(st.booleans()):
+            exponent += 1
+        powers = {p: exponent}
+    small = 2 * draw(st.integers(0, 499)) + 1
+    for prime, exponent in sympy.factorint(small).items():
+        powers[prime] = powers.get(prime, 0) + exponent
+    n = 1
+    for prime, exponent in powers.items():
+        n *= prime**exponent
+    return n, tuple(sorted(powers.items()))
+
+
+class TestFactoringLayer:
+    """factor_side (small primes, then Miller-Rabin and rho) and the window sieve."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(known_factorizations(), st.integers(1, 5))
+    def test_point_and_window_match_the_known_factorization(self, known, twos):
+        n, powers = known
+        side = n << twos
+        assert factor_side(side) == powers
+        assert sieved(side, side) == [(side, powers)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 251, 1021, 1031, 65521, 65537, 65539])
+        | st.integers(2, 2 * 10**6).map(sympy.nextprime),
+        st.integers(-9, 9),
+        st.integers(0, 20),
+    )
+    def test_windows_around_a_prime_square(self, prime, offset, width):
+        first = max(1, prime * prime + offset)
+        from_s, to_s = 2 * first, 2 * (first + width)
+        expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
+        assert sieved(from_s, to_s) == expected
+
+    @pytest.mark.parametrize("prime", [3, 65521, 65537])
+    @pytest.mark.parametrize("first, last", [(0, 0), (-1, 1), (-3, 0), (0, 5), (1, 1), (-1, -1), (-7, 7)])
+    def test_windows_that_start_end_or_straddle_a_prime_square(self, prime, first, last):
+        square = prime * prime
+        from_s, to_s = 2 * max(1, square + first), 2 * (square + last)
+        expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
+        assert sieved(from_s, to_s) == expected
+        assert sieved(from_s, to_s, segment=256) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 15).flatmap(lambda e: st.integers(1, 10**e)), st.integers(0, 30))
+    def test_random_windows_match_sympy(self, half, width):
+        window = sieved(2 * half, 2 * (half + width))
+        assert window == [(2 * h, odd_factorint(2 * h)) for h in range(half, half + width + 1)]
+
+    @pytest.mark.parametrize(
+        "n, primes",
+        [(3215031751, (151, 751, 28351)), (3825123056546413051, (149491, 747451, 34233211))],
+    )
+    def test_strong_pseudoprimes_are_split(self, n, primes):
+        assert not partitions._is_prime(n)
+        powers = tuple((p, 1) for p in primes)
+        assert factor_side(2 * n) == powers
+        assert sieved(2 * n, 2 * n) == [(2 * n, powers)]
+
+    def test_balanced_semiprime(self):
+        p, q = 1_000_000_007, 1_000_000_009
+        assert factor_side(2 * p * q) == ((p, 1), (q, 1))
+
+    def test_largest_prime_below_the_bound(self):
+        prime = sympy.prevprime(PSI_13)
+        assert factor_side(2 * prime) == ((prime, 1),)
+        assert sieved(2 * prime, 2 * prime) == [(2 * prime, ((prime, 1),))]
+
+    @pytest.mark.parametrize("n", [sympy.nextprime(PSI_13), 65537 * sympy.nextprime(PSI_13 // 65537)])
+    def test_cofactor_at_or_past_the_bound_is_a_size_limit(self, n):
+        with pytest.raises(SizeLimitError):
+            factor_side(2 * n)
+        with pytest.raises(SizeLimitError):
+            sieved(2 * n, 2 * n)
+
+    def test_small_primes_past_the_bound_are_still_removed(self):
+        # 1031^9 is past the bound, and 1031 is past the primes a point
+        # always divides out; both ways in remove every prime up to 2^16.
+        side = 2 * 1031**9
+        assert factor_side(side) == ((1031, 9),)
+        assert sieved(side, side) == [(side, ((1031, 9),))]
