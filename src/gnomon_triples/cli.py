@@ -18,9 +18,12 @@ from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
 from .gnomons import gnomon_pair, overlap_terms
 from .oracle import brute_force_primitive, euclid_parametrization
-from .ordering import render_lines, stream
+from .ordering import render_row, stream
 from .partitions import BASE_PRIME_CAP, PSI_13
 from .triples import construct, decompose_general, invert
+
+# verify's brute-force oracle is O(z^2): about 31 s at this --z-max, inside 60 s.
+Z_MAX_CAP = 30_000
 
 
 def _positive_int(text: str) -> int:
@@ -37,6 +40,13 @@ def _even_side(text: str) -> int:
     value = _positive_int(text)
     if value % 2 != 0 or value < 2:
         raise argparse.ArgumentTypeError(f"expected a positive even integer, got {text}")
+    return value
+
+
+def _z_max(text: str) -> int:
+    value = _positive_int(text)
+    if not 5 <= value <= Z_MAX_CAP:
+        raise argparse.ArgumentTypeError(f"expected 5 to {Z_MAX_CAP}, got {text}")
     return value
 
 
@@ -70,8 +80,8 @@ def _print_pair(odd, even) -> None:
 
 def cmd_enumerate(args) -> int:
     write = sys.stdout.write
-    for line in render_lines(stream(args.from_s, args.to_s), args.format):
-        write(line)
+    for row in stream(args.from_s, args.to_s):
+        write(render_row(row, args.format) + "\n")
     return 0
 
 
@@ -189,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("verify", help="cross-check the enumerator against both oracles")
-    p.add_argument("--z-max", type=_positive_int, default=1000, help="hypotenuse bound")
+    p.add_argument("--z-max", type=_z_max, default=1000,
+                   help=f"hypotenuse bound, 5 to {Z_MAX_CAP} (default 1000)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diagram", help="write an SVG rendering of one construction")
@@ -206,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.z_max < 5:
-        parser.error("--z-max must be at least 5")
     if args.command == "enumerate" and args.from_s > args.to_s:
         parser.error(f"--from-s {args.from_s} exceeds --to-s {args.to_s}")
     # argv was parsed under the int-to-str digit limit; results may print longer ints.

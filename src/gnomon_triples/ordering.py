@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, factor_odd, factor_window, split_pairs
+from .partitions import Partition, factor_side, factor_window, split_pairs
 from .triples import PrimitiveTriple, split_of, split_triple
 
 TABLE_FORMATS = ("appendix", "tsv", "jsonl")
@@ -58,33 +58,25 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
     """
     x, y, z = triple.values()
     s, t, l = split_of(x, y, z)
-    odd_powers = sorted(factor_odd(t // (t & -t)) + factor_odd(l))
+    odd_powers = factor_side(2 * t) + factor_side(2 * l)
     return TableRow(s // 2, 1 + split_pairs(s, odd_powers).index((t, l)), s, t, l, x, y, z)
 
 
-def render_row(row: TableRow, fmt: str, first_of_group: bool = True) -> str:
-    """One output line for a row, without the trailing newline."""
+def render_row(row: TableRow, fmt: str) -> str:
+    """One output line for a row, without the trailing newline.
+
+    The appendix format prints the side only on a side's first split (n = 1),
+    as the ordered table is usually typeset.
+    """
     n1, n2, s, t, l, x, y, z = row
     if fmt == "jsonl":
         return f'{{"n1":{n1},"n2":{n2},"s":{s},"t":{t},"l":{l},"x":{x},"y":{y},"z":{z}}}'
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
-    side = s if fmt == "tsv" or first_of_group else ""
+    side = "" if fmt == "appendix" and n2 > 1 else s
     return f"{n1}.{n2}\t{side}\t{t}\t{l}\t{x}\t{y}\t{z}"
-
-
-def render_lines(rows: Iterable[TableRow], fmt: str) -> Iterator[str]:
-    """Each row's output line with its newline, produced one row at a time.
-
-    The appendix format prints the side only on the first row of each side
-    group, mirroring how the ordered table is usually typeset.
-    """
-    previous_side = None
-    for row in rows:
-        yield render_row(row, fmt, first_of_group=row.s != previous_side) + "\n"
-        previous_side = row.s
 
 
 def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
     """Render rows as text; empty input renders as empty output."""
-    return "".join(render_lines(rows, fmt))
+    return "".join(render_row(r, fmt) + "\n" for r in rows)

@@ -8,7 +8,7 @@ where j counts those primes.
 
 One factoring layer serves both ways in.  A window of sides is factored by one segmented sieve of
 Eratosthenes over its half-sides, with the odd primes up to
-min(sqrt(S/2), 2^16).  A single number has the primes up to 2^10 divided
+min(sqrt(S/2), 2^16).  A single side has the primes up to 2^10 divided
 out, and the rest of the primes up to 2^16 only while its cofactor is past
 the exact bound below.  Both hand the cofactor left over to one finisher.
 A cofactor with no prime factor up to a bound b is prime when it is below
@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 from .errors import SizeLimitError
 
 BASE_PRIME_CAP = 2**16
-# The primes a single number always has divided out before the finisher.
+# The primes a single side always has divided out before the finisher.
 POINT_PRIME_CAP = 2**10
 # Half-sides per sieve segment: the per-segment lists stay small.
 SEGMENT_LENGTH = 256
@@ -152,30 +152,6 @@ def _finish(cofactor: int, bound: int) -> list[tuple[int, int]]:
     return sorted(exponents.items())
 
 
-def factor_odd(n: int) -> tuple[tuple[int, int], ...]:
-    """The (prime, exponent) pairs of an odd n >= 1, by increasing prime.
-
-    Divides out the primes up to POINT_PRIME_CAP, or all base primes while
-    the cofactor is at least PSI_13, stopping early once it is 1 or prime.
-    """
-    found = []
-    bound = BASE_PRIME_CAP
-    for p in _base_primes():
-        if p * p > n or (p > POINT_PRIME_CAP and n < PSI_13):
-            bound = p - 1
-            break
-        if n % p == 0:
-            n //= p
-            exponent = 1
-            while n % p == 0:
-                n //= p
-                exponent += 1
-            found.append((p, exponent))
-    if n > 1:
-        found += _finish(n, bound)
-    return tuple(found)
-
-
 def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """(side, odd (prime, exponent) pairs) for every side in [from_s, to_s], in order.
 
@@ -210,9 +186,28 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
 
 
 def factor_side(side: int) -> tuple[tuple[int, int], ...]:
-    """The side's odd (prime, exponent) pairs by increasing prime."""
-    ensure_side(side)
-    return factor_odd(side // (side & -side))
+    """The side's odd (prime, exponent) pairs by increasing prime.
+
+    Divides out the primes up to POINT_PRIME_CAP, or all base primes while
+    the cofactor is at least PSI_13, stopping early once it is 1 or prime.
+    """
+    n = ensure_side(side) // (side & -side)
+    found = []
+    bound = BASE_PRIME_CAP
+    for p in _base_primes():
+        if p * p > n or (p > POINT_PRIME_CAP and n < PSI_13):
+            bound = p - 1
+            break
+        if n % p == 0:
+            n //= p
+            exponent = 1
+            while n % p == 0:
+                n //= p
+                exponent += 1
+            found.append((p, exponent))
+    if n > 1:
+        found += _finish(n, bound)
+    return tuple(found)
 
 
 def partition_count(side: int) -> int:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnomon_triples import cli
-from gnomon_triples.cli import main
+from gnomon_triples.cli import Z_MAX_CAP, main
 from gnomon_triples.diagrams import KINDS
 from gnomon_triples.oracle import brute_force_primitive
 from gnomon_triples.ordering import render_table, stream
@@ -205,10 +205,14 @@ class TestVerify:
         assert code == 0
         assert out.endswith("PASS\n")
 
-    def test_tiny_bound_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("z_max", [4, Z_MAX_CAP + 1, 10**7])
+    def test_tiny_bound_is_a_usage_error(self, capsys, z_max):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--z-max", "4"])
+            main(["verify", "--z-max", str(z_max)])
         assert exc.value.code == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("usage:")
 
     def test_failure_names_the_triples_that_disagree(self, capsys, monkeypatch):
         def brute_without_3_4_5(z_max):
@@ -292,6 +296,7 @@ class TestDiagram:
             pytest.param("inf", "", 2, "usage:", id="inf-2-usage:"),
             pytest.param("0", "", 2, "usage:", id="0-2-usage:"),
             pytest.param("-1", "", 2, "usage:", id="-1-2-usage:"),
+            pytest.param("abc", "", 2, "usage:", id="abc-2-usage:"),
             pytest.param("1e-300", "", 1, "error: size-limit:", id="1e-300-1-error: size-limit:"),
             # a good unit, but --out names a directory that does not exist
             pytest.param("10", "missing", 2, "error: No such file or directory:",
@@ -393,8 +398,9 @@ class TestUsage:
 # enumerate's sides reach 10^30, past the factoring bound psi_13 (about
 # 3.3e24), where a side ends in the size-limit error; below it, rho's cost on
 # a cofactor grows with the square root of its smaller prime factor, so windows
-# above 10^12 span at most 20 side units (2000 below).  verify's --z-max stays
-# at most 300 because the brute-force oracle is O(z^2).
+# above 10^12 span at most 20 side units (2000 below).  verify's --z-max is
+# at most 300 or past Z_MAX_CAP, where it is a usage error: the brute-force
+# oracle is O(z^2), about 31 s at the cap itself.
 FUZZ_SECONDS = 2.0
 # An integer of 4301 digits is past Python's int-to-str limit: a usage error.
 JUNK = st.sampled_from(
@@ -452,7 +458,7 @@ def fuzz_argv(draw):
     elif command == "scale":
         argv = draw(fuzz_legs()) + [draw(fuzz_k())]
     elif command == "verify":
-        argv = ["--z-max", str(draw(st.integers(1, 300)))]
+        argv = ["--z-max", str(draw(st.integers(1, 300) | st.integers(Z_MAX_CAP + 1, 10**7)))]
     else:
         unit = draw(st.one_of(
             st.sampled_from(["0.001", "0.01", "0.1"]),

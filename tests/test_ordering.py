@@ -105,6 +105,15 @@ class TestRenderTable:
         assert lines[0].split("\t")[1] == "30"
         assert [line.split("\t")[1] for line in lines[1:]] == ["", "", ""]
 
+    def test_appendix_side_is_printed_only_on_a_first_split(self):
+        # A row's own place decides: a list starting mid-side leaves the side blank.
+        assert render_table([index_of(PrimitiveTriple(7, 24, 25))], "appendix") == (
+            "3.2\t\t3\t1\t7\t24\t25\n"
+        )
+        assert render_row(index_of(PrimitiveTriple(15, 8, 17)), "appendix") == (
+            "3.1\t6\t1\t3\t15\t8\t17"
+        )
+
     def test_empty_input_renders_empty_output(self):
         assert render_table([], "appendix") == ""
         assert render_table([], "tsv") == ""

@@ -128,6 +128,11 @@ class TestDecomposeGeneral:
         with pytest.raises(NotATripleError):
             decompose_general(2, 4, 6)
 
+    def test_zero_triple_is_rejected(self):
+        # Without the positivity check, k = gcd(0, 0, 0) = 0 divides by zero.
+        with pytest.raises(ValueError):
+            decompose_general(0, 0, 0)
+
     def test_round_trip_with_scale(self):
         for side in range(2, 200, 2):
             for p in enumerate_partitions(side):
