@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain errors (reported as ``error: <code>: ...``
-on stderr) or stdout closed early, 2 usage errors (an unwritable
-``diagram --out`` path included).  Data goes to stdout, diagnostics to
-stderr; only ``diagram --out`` writes a file.
+Exit codes: 0 success, 1 domain errors (``error: <code>: ...`` on stderr) or
+a failed stdout write (``error: <strerror>: <stdout>``, silent on a closed
+pipe), 2 usage errors (an unwritable ``diagram --out`` path included).
+Data goes to stdout, diagnostics to stderr; only ``diagram --out`` writes a file.
 """
 
 from __future__ import annotations
@@ -232,13 +232,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    """Run ``main`` as a program; a reader closing stdout early ends it with exit 1."""
+    """Run ``main`` as a program; a failed stdout write ends it with exit 1."""
     try:
         code = main()
-        sys.stdout.flush()  # raise a broken pipe here, not at interpreter exit
-    except BrokenPipeError:
+        sys.stdout.flush()  # raise a failed write here, not at interpreter exit
+    except OSError as exc:
         # As the ``signal`` docs advise: send the unflushed rest to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc.strerror}: {sys.stdout.name}", file=sys.stderr)
         code = 1
     sys.exit(code)
 

@@ -11,62 +11,11 @@ suffix of the longer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import require
-from .triples import GeneralTriple, PrimitiveTriple
+from .triples import GeneralTriple, Gnomon, PrimitiveTriple
 
-
-@dataclass(frozen=True)
-class Gnomon:
-    """An L-shaped border of thickness T inside a square of side L.
-
-    It is also its odd-number progression: the T odd numbers from
-    2(L - T) + 1 to 2L - 1, which sum to its area T(2L - T).
-    """
-
-    thickness: int
-    side_length: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.thickness <= self.side_length:
-            raise ValueError(
-                f"thickness must lie in 1..side_length, got {self.thickness}"
-                f" for side {self.side_length}"
-            )
-
-    @property
-    def area(self) -> int:
-        return self.thickness * (2 * self.side_length - self.thickness)
-
-    @property
-    def first_term(self) -> int:
-        return 2 * (self.side_length - self.thickness) + 1
-
-    @property
-    def last_term(self) -> int:
-        return 2 * self.side_length - 1
-
-    def terms(self) -> range:
-        """The odd-number progression, lazily."""
-        return range(self.first_term, 2 * self.side_length, 2)
-
-
-class GnomonPair(GeneralTriple):
-    """The two gnomons of a triple scaled by k, over the same kz-by-kz square.
-
-    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
-    area (kx)^2; ``even_gnomon`` sits on the odd-leg square and carries the
-    even leg's area (ky)^2.
-    """
-
-    @property
-    def odd_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.y, self.z)
-
-    @property
-    def even_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.x, self.z)
+# A gnomon pair is the scaled triple itself, so Gnomon and GeneralTriple live in triples.py.
+GnomonPair = GeneralTriple
 
 
 def gnomon_pair(triple: PrimitiveTriple, k: int = 1) -> GnomonPair:
@@ -75,8 +24,8 @@ def gnomon_pair(triple: PrimitiveTriple, k: int = 1) -> GnomonPair:
 
 
 def scaled_gnomon_pair(general: GeneralTriple) -> GnomonPair:
-    """Gnomons of a scaled triple: thicknesses k times the primitive ones."""
-    return GnomonPair(general.base, general.scale)
+    """Gnomons of a scaled triple: the triple itself, thicknesses k times the primitive ones."""
+    return general
 
 
 def pair_progressions(pair: GnomonPair) -> tuple[Gnomon, Gnomon]:

@@ -49,8 +49,48 @@ class PrimitiveTriple:
 
 
 @dataclass(frozen=True)
+class Gnomon:
+    """An L-shaped border of thickness T inside a square of side L.
+
+    It is also its odd-number progression: the T odd numbers from
+    2(L - T) + 1 to 2L - 1, which sum to its area T(2L - T).
+    """
+
+    thickness: int
+    side_length: int
+
+    def __post_init__(self) -> None:
+        if not 0 < self.thickness <= self.side_length:
+            raise ValueError(
+                f"thickness must lie in 1..side_length, got {self.thickness}"
+                f" for side {self.side_length}"
+            )
+
+    @property
+    def area(self) -> int:
+        return self.thickness * (2 * self.side_length - self.thickness)
+
+    @property
+    def first_term(self) -> int:
+        return 2 * (self.side_length - self.thickness) + 1
+
+    @property
+    def last_term(self) -> int:
+        return 2 * self.side_length - 1
+
+    def terms(self) -> range:
+        """The odd-number progression, lazily."""
+        return range(self.first_term, 2 * self.side_length, 2)
+
+
+@dataclass(frozen=True)
 class GeneralTriple:
-    """A primitive triple scaled by a positive integer coefficient."""
+    """A primitive triple scaled by k, and its two gnomons over the same kz-by-kz square.
+
+    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
+    area (kx)^2; ``even_gnomon`` sits on the odd-leg square and carries the
+    even leg's area (ky)^2.
+    """
 
     base: PrimitiveTriple
     scale: int
@@ -73,6 +113,14 @@ class GeneralTriple:
 
     def values(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
+
+    @property
+    def odd_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.y, self.z)
+
+    @property
+    def even_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.x, self.z)
 
 
 def split_triple(s: int, t: int, l: int) -> tuple[int, int, int]:

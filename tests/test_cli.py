@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, and error formats."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -391,6 +392,38 @@ class TestUsage:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1
         assert err == b""  # no traceback, no "Exception ignored" note
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [["table", "--to-s", "100"], ["invert", "3", "4", "5"], ["verify", "--z-max", "100"]],
+        ids=["table", "invert", "verify"],
+    )
+    def test_failed_stdout_write_is_one_error_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "gnomon_triples", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert result.returncode == 1
+        assert result.stderr == f"error: {os.strerror(errno.ENOSPC)}: <stdout>\n"
+
+    def test_runtime_imports_only_the_standard_library(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        # -I ignores PYTHONPATH; modules that .pth files preload form the baseline.
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import gnomon_triples.cli\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - sys.stdlib_module_names))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "['gnomon_triples']\n"
 
 
 # CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or

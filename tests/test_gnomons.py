@@ -17,7 +17,7 @@ from gnomon_triples.gnomons import (
 )
 from gnomon_triples.ordering import stream
 from gnomon_triples.partitions import Partition
-from gnomon_triples.triples import PrimitiveTriple, construct, scale
+from gnomon_triples.triples import GeneralTriple, PrimitiveTriple, construct, scale
 
 
 class TestGnomonPair:
@@ -55,11 +55,10 @@ class TestGnomonPair:
             Gnomon(thickness=6, side_length=5)
 
     def test_scale_below_one_is_rejected(self):
-        for k in (0, -1):
-            with pytest.raises(ValueError):
-                gnomon_pair(PrimitiveTriple(3, 4, 5), k)
-            with pytest.raises(ValueError):
-                GnomonPair(PrimitiveTriple(3, 4, 5), k)
+        for make in (gnomon_pair, GnomonPair, scale):
+            for k in (0, -1):
+                with pytest.raises(ValueError):
+                    make(PrimitiveTriple(3, 4, 5), k)
 
 
 class TestProgressionOnSquare:
@@ -165,6 +164,12 @@ class TestScaledPairs:
     def test_identity_scale_matches_plain_pair(self):
         base = PrimitiveTriple(3, 4, 5)
         assert scaled_gnomon_pair(scale(base, 1)) == gnomon_pair(base)
+
+    def test_a_pair_is_its_scaled_triple(self):
+        general = scale(PrimitiveTriple(15, 8, 17), 3)
+        assert GnomonPair is GeneralTriple
+        assert gnomon_pair(general.base, 3) == general
+        assert scaled_gnomon_pair(general) is general
 
     def test_scale_four(self):
         pair = scaled_gnomon_pair(scale(PrimitiveTriple(3, 4, 5), 4))

@@ -152,12 +152,6 @@ class TestScale:
         scaled = scale(PrimitiveTriple(15, 8, 17), 3)
         assert scaled.values() == (45, 24, 51)
         assert 45 * 45 + 24 * 24 == 51 * 51
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            scale(PrimitiveTriple(3, 4, 5), 0)
-
-    def test_general_triple_fields(self):
         general = GeneralTriple(base=PrimitiveTriple(5, 12, 13), scale=7)
         assert (general.x, general.y, general.z) == (35, 84, 91)
 
