@@ -9,10 +9,20 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import Partition, factor_side, factor_window, split_pairs
-from .triples import PrimitiveTriple, split_of, split_triple
+from .partitions import Partition, factor_side, factor_window, odd_parts
+from .triples import PrimitiveTriple, split_of
 
-TABLE_FORMATS = ("appendix", "tsv", "jsonl")
+# Per format, the line of a side's first split (n = 1) and of its later ones.
+# The appendix prints the side only on the first, as the ordered table is
+# usually typeset: %.0s consumes the side and prints nothing.
+_TSV = "%s.%s\t%s\t%s\t%s\t%s\t%s\t%s"
+_JSONL = '{"n1":%s,"n2":%s,"s":%s,"t":%s,"l":%s,"x":%s,"y":%s,"z":%s}'
+ROW_TEMPLATES = {
+    "appendix": (_TSV, "%s.%s\t%.0s\t%s\t%s\t%s\t%s\t%s"),
+    "tsv": (_TSV, _TSV),
+    "jsonl": (_JSONL, _JSONL),
+}
+TABLE_FORMATS = tuple(ROW_TEMPLATES)
 
 
 class TableRow(NamedTuple):
@@ -44,10 +54,16 @@ def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
     """Rows for all sides in [from_s, to_s], ordered by (N, n).
 
     Lazy: rows for one side are produced without factoring past its sieve segment.
+    A row is construct's forward map, unchecked, and tuple.__new__ builds it in C.
     """
+    new = tuple.__new__
     for side, odd_powers in factor_window(from_s, to_s):
-        for rank, (t, l) in enumerate(split_pairs(side, odd_powers), start=1):
-            yield TableRow(side // 2, rank, side, t, l, *split_triple(side, t, l))
+        half = side // 2
+        for rank, l in enumerate(odd_parts(odd_powers), start=1):
+            t = half // l
+            x = side + l * l
+            y = side + 2 * t * t
+            yield new(TableRow, (half, rank, side, t, l, x, y, x + y - side))
 
 
 def index_of(triple: PrimitiveTriple) -> TableRow:
@@ -59,22 +75,16 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
     x, y, z = triple.values()
     s, t, l = split_of(x, y, z)
     odd_powers = factor_side(2 * t) + factor_side(2 * l)
-    return TableRow(s // 2, 1 + split_pairs(s, odd_powers).index((t, l)), s, t, l, x, y, z)
+    return TableRow(s // 2, 1 + odd_parts(odd_powers).index(l), s, t, l, x, y, z)
 
 
 def render_row(row: TableRow, fmt: str) -> str:
-    """One output line for a row, without the trailing newline.
-
-    The appendix format prints the side only on a side's first split (n = 1),
-    as the ordered table is usually typeset.
-    """
-    n1, n2, s, t, l, x, y, z = row
-    if fmt == "jsonl":
-        return f'{{"n1":{n1},"n2":{n2},"s":{s},"t":{t},"l":{l},"x":{x},"y":{y},"z":{z}}}'
-    if fmt not in TABLE_FORMATS:
+    """One output line for a row, without the trailing newline."""
+    try:
+        template = ROW_TEMPLATES[fmt][row.n2 > 1]
+    except KeyError:
         raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
-    side = "" if fmt == "appendix" and n2 > 1 else s
-    return f"{n1}.{n2}\t{side}\t{t}\t{l}\t{x}\t{y}\t{z}"
+    return template % row
 
 
 def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:

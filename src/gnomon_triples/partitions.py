@@ -215,19 +215,21 @@ def partition_count(side: int) -> int:
     return 1 << len(factor_side(side))
 
 
-def split_pairs(side: int, odd_powers: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """All (t, l) splits of a side from its odd (prime, exponent) pairs, by increasing t.
+def odd_parts(odd_powers: Iterable[tuple[int, int]]) -> list[int]:
+    """Every l of a side from its odd (prime, exponent) pairs, largest first.
 
     l runs over the products of subsets of the odd prime-power components;
-    t takes everything else, including all factors of 2.
+    t = S/(2l) takes everything else, including all factors of 2, so t
+    rises as l falls and the list is the side's splits by increasing t.
     """
     ls = [1]
     for prime, exponent in odd_powers:
         atom = prime**exponent
         ls += [l * atom for l in ls]
-    return sorted((side // (2 * l), l) for l in ls)
+    ls.sort(reverse=True)
+    return ls
 
 
 def enumerate_partitions(side: int) -> list[Partition]:
     """All (t, l) splits of a side as validated Partitions, sorted by t."""
-    return [Partition(t=t, l=l, side=side) for t, l in split_pairs(side, factor_side(side))]
+    return [Partition(t=side // (2 * l), l=l, side=side) for l in odd_parts(factor_side(side))]

@@ -123,15 +123,8 @@ class GeneralTriple:
         return Gnomon(self.z - self.x, self.z)
 
 
-def split_triple(s: int, t: int, l: int) -> tuple[int, int, int]:
-    """(x, y, z) generated by a split S = 2tl, unchecked: the caller vouches for it."""
-    x = s + l * l
-    y = s + 2 * t * t
-    return x, y, x + y - s
-
-
 def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """(S, t, l) of a primitive triple, unchecked: the inverse of split_triple."""
+    """(S, t, l) of a primitive triple, unchecked: the inverse of construct."""
     l = isqrt(z - y)
     s = x - l * l
     return s, s // (2 * l), l
@@ -139,7 +132,8 @@ def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
 
 def construct(partition: Partition) -> PrimitiveTriple:
     """Build the primitive triple generated by a (t, l) split of S."""
-    return PrimitiveTriple(*split_triple(partition.side, partition.t, partition.l))
+    s, t, l = partition.side, partition.t, partition.l
+    return PrimitiveTriple(s + l * l, s + 2 * t * t, s + 2 * t * t + l * l)
 
 
 def invert(a: int, b: int, c: int) -> Partition:

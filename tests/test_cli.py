@@ -516,18 +516,23 @@ def fuzz_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(fuzz_argv())
 def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
-    # A fresh directory per example: function-scoped fixtures are not reset
-    # between Hypothesis examples.
+    # A fresh working directory per example, so that any file a drawn argv
+    # names (a JUNK word in place of the .svg path included) lands in it:
+    # function-scoped fixtures are not reset between Hypothesis examples.
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = [os.path.join(out_dir, a) if a.endswith(".svg") else a for a in argv]
-        sink = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code in (0, 2), argv
-                code = exc.code
-        elapsed = time.perf_counter() - start
+        cwd = os.getcwd()
+        os.chdir(out_dir)
+        try:
+            sink = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code in (0, 2), argv
+                    code = exc.code
+            elapsed = time.perf_counter() - start
+        finally:
+            os.chdir(cwd)
     assert code in (0, 1, 2), argv
     assert elapsed < FUZZ_SECONDS, (argv, elapsed)

@@ -6,7 +6,14 @@ import pytest
 
 from gnomon_triples import partitions
 from gnomon_triples.oracle import brute_force_primitive
-from gnomon_triples.ordering import TableRow, index_of, render_row, render_table, stream
+from gnomon_triples.ordering import (
+    TABLE_FORMATS,
+    TableRow,
+    index_of,
+    render_row,
+    render_table,
+    stream,
+)
 from gnomon_triples.partitions import Partition
 from gnomon_triples.triples import PrimitiveTriple, construct, invert
 
@@ -67,6 +74,27 @@ class TestStream:
         bound = 1000
         streamed = {r.triple for r in stream(2, 996) if r.triple.z <= bound}
         assert streamed == brute_force_primitive(bound)
+
+
+def reference_line(row: TableRow, fmt: str) -> str:
+    """A row's output line, written out field by field."""
+    n1, n2, s, t, l, x, y, z = row
+    if fmt == "jsonl":
+        return f'{{"n1":{n1},"n2":{n2},"s":{s},"t":{t},"l":{l},"x":{x},"y":{y},"z":{z}}}'
+    side = "" if fmt == "appendix" and n2 > 1 else s
+    return f"{n1}.{n2}\t{side}\t{t}\t{l}\t{x}\t{y}\t{z}"
+
+
+@pytest.mark.parametrize("from_s,to_s", [(2, 4000), (10**12 + 2, 10**12 + 400)])
+def test_rows_are_constructed_and_render_as_written_out(from_s, to_s):
+    # Past the golden file (S <= 100), one dense range and one far window of 200 sides.
+    sides = set()
+    for row in stream(from_s, to_s):
+        sides.add(row.s)
+        assert row.triple == construct(row.partition)
+        for fmt in TABLE_FORMATS:
+            assert render_row(row, fmt) == reference_line(row, fmt)
+    assert len(sides) == (to_s - from_s) // 2 + 1
 
 
 class TestIndexOf:

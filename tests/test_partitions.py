@@ -1,6 +1,7 @@
 """Side factorization and (t, l) split enumeration."""
 
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from gnomon_triples.partitions import (
     enumerate_partitions,
     factor_side,
     factor_window,
+    odd_parts,
     partition_count,
 )
 
@@ -189,6 +191,19 @@ def known_factorizations(draw):
     for prime, exponent in powers.items():
         n *= prime**exponent
     return n, tuple(sorted(powers.items()))
+
+
+class TestOddParts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 14).flatmap(lambda e: st.integers(1, 5 * 10**e)))
+    def test_ls_are_the_splits_by_increasing_t(self, half_side):
+        side = 2 * half_side
+        ls = odd_parts(odd_factorint(side))
+        atoms = [p**e for p, e in sympy.factorint(side).items() if p != 2]
+        assert len(ls) == 2 ** len(atoms)
+        assert all(a > b for a, b in zip(ls, ls[1:]))
+        subsets = (prod(c) for r in range(len(atoms) + 1) for c in combinations(atoms, r))
+        assert [(side // (2 * l), l) for l in ls] == sorted((side // (2 * l), l) for l in subsets)
 
 
 class TestFactoringLayer:
