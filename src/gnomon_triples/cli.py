@@ -9,6 +9,7 @@ Data goes to stdout, diagnostics to stderr; only ``diagram --out`` writes a file
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -121,7 +122,9 @@ def cmd_scale(args) -> int:
 
 def cmd_verify(args) -> int:
     z_max = args.z_max
-    side_cap = z_max - 3
+    # 2t^2 + l^2 > 2*sqrt(2)*tl, so z = S + 2t^2 + l^2 > (1+sqrt(2))*S: no row with
+    # z <= z_max lies on a side above z_max*(sqrt(2)-1).
+    side_cap = math.isqrt(2 * z_max * z_max) - z_max
     side_cap -= side_cap % 2
     enumerated, rows = set(), 0
     for row in stream(2, side_cap):
@@ -225,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DomainError as exc:
+        sys.stdout.flush()  # the rows before the error come out before it
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -234,13 +238,17 @@ def main(argv: list[str] | None = None) -> int:
 def entry_point() -> None:
     """Run ``main`` as a program; a failed stdout write ends it with exit 1."""
     try:
+        if sys.stdout is None:  # Python leaves it None when fd 1 is closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        # Block-buffer even under PYTHONUNBUFFERED, which costs one write(2) per row.
+        sys.stdout.reconfigure(write_through=False, line_buffering=sys.stdout.isatty())
         code = main()
         sys.stdout.flush()  # raise a failed write here, not at interpreter exit
     except OSError as exc:
         # As the ``signal`` docs advise: send the unflushed rest to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: {exc.strerror}: {sys.stdout.name}", file=sys.stderr)
+            print(f"error: {exc.strerror}: <stdout>", file=sys.stderr)
         code = 1
     sys.exit(code)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnomon_triples import cli
+from gnomon_triples import cli, partitions
 from gnomon_triples.cli import Z_MAX_CAP, main
 from gnomon_triples.diagrams import KINDS
 from gnomon_triples.oracle import brute_force_primitive
@@ -396,8 +396,13 @@ class TestUsage:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "argv",
-        [["table", "--to-s", "100"], ["invert", "3", "4", "5"], ["verify", "--z-max", "100"]],
-        ids=["table", "invert", "verify"],
+        [
+            ["table", "--to-s", "100"],
+            ["table", "--to-s", "20000"],  # far past 8 KB: a flush inside main fails
+            ["invert", "3", "4", "5"],
+            ["verify", "--z-max", "100"],
+        ],
+        ids=["table", "table-20000", "invert", "verify"],
     )
     def test_failed_stdout_write_is_one_error_line(self, argv):
         with open("/dev/full", "wb") as full:
@@ -407,6 +412,65 @@ class TestUsage:
             )
         assert result.returncode == 1
         assert result.stderr == f"error: {os.strerror(errno.ENOSPC)}: <stdout>\n"
+
+    @pytest.mark.parametrize("argv", [["invert", "3", "4", "5"], ["table", "--to-s", "10"]],
+                             ids=["invert", "table"])
+    def test_stdout_closed_at_start_is_one_error_line(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "gnomon_triples", *argv],
+            stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"error: {os.strerror(errno.EBADF)}: <stdout>\n"
+
+    def test_rows_before_a_domain_error_come_out_first(self, capsys, monkeypatch):
+        # With the bound lowered to 10^11, the third side, 4 * 3 * 166666666667,
+        # ends the run after the 10 rows of the two sides before it.
+        argv = ["enumerate", "--from-s", "2000000000000", "--to-s", "2000000000400"]
+        script = (
+            "import sys\n"
+            "from gnomon_triples import cli, partitions\n"
+            "partitions.PSI_13 = 10**11\n"
+            f"sys.argv = ['gnomon-triples', *{argv!r}]\n"
+            "cli.entry_point()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+        )
+        monkeypatch.setattr(partitions, "PSI_13", 10**11)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, len(out.splitlines()), len(err.splitlines())) == (1, 10, 1)
+        assert err.startswith("error: size-limit: factor 166666666667 ")
+        assert (result.returncode, result.stdout) == (1, out + err)
+
+    def test_stdout_is_block_buffered_under_pythonunbuffered(self, monkeypatch, golden_table_text):
+        # Under PYTHONUNBUFFERED=1 Python's stdout is a write-through text layer
+        # straight over the raw file: without entry_point's reconfigure, one
+        # raw write per row.
+        class CountingRaw(io.RawIOBase):
+            def __init__(self):
+                self.writes, self.data = 0, bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.writes += 1
+                self.data += b
+                return len(b)
+
+        raw = CountingRaw()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["gnomon-triples", "table", "--to-s", "50000"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == 0
+        expected = render_table(stream(2, 50_000))
+        assert raw.data.decode() == expected
+        assert expected.startswith(golden_table_text)
+        assert raw.writes <= expected.count("\n") // 100
 
     def test_runtime_imports_only_the_standard_library(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
