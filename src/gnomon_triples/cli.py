@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
-from .gnomons import gnomon_pair, overlap_terms
+from .gnomons import gnomon_pair, overlap_terms, pair_progressions
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_row, stream
 from .partitions import BASE_PRIME_CAP, PSI_13
@@ -98,7 +98,7 @@ def cmd_invert(args) -> int:
 
 def cmd_gnomon(args) -> int:
     pair = gnomon_pair(construct(invert(*args.triple)), args.k)
-    odd, even = pair.odd_gnomon, pair.even_gnomon
+    odd, even = pair_progressions(pair)
     _print_pair(odd, even)
     _, _, shared = overlap_terms(pair)
     for name, gnomon in (("progression_x2", odd), ("progression_y2", even)):
@@ -242,8 +242,10 @@ def entry_point() -> None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         # Block-buffer even under PYTHONUNBUFFERED, which costs one write(2) per row.
         sys.stdout.reconfigure(write_through=False, line_buffering=sys.stdout.isatty())
-        code = main()
-        sys.stdout.flush()  # raise a failed write here, not at interpreter exit
+        try:
+            code = main()
+        finally:  # argparse's --help exits through here too
+            sys.stdout.flush()  # raise a failed write here, not at interpreter exit
     except OSError as exc:
         # As the ``signal`` docs advise: send the unflushed rest to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)

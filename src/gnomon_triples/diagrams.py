@@ -57,11 +57,11 @@ class DiagramSpec:
             raise ValueError(f"unit_px must be positive, got {self.unit_px}")
 
 
-def _band_rects(frame: int, thickness: int, css: str) -> list[_Rect]:
-    """An L-band along the left and bottom of a frame, split into two rects."""
+def _band_rects(frame: int, thickness: int, css: str, dx: int = 0) -> list[_Rect]:
+    """An L-band along the left and bottom of a frame dx units from the left, as two rects."""
     return [
-        (0, 0, thickness, frame, css),
-        (thickness, frame - thickness, frame - thickness, thickness, css),
+        (dx, 0, thickness, frame, css),
+        (dx + thickness, frame - thickness, frame - thickness, thickness, css),
     ]
 
 
@@ -101,10 +101,7 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[_Rect]]:
         t_min, t_max = min(t1, t2), max(t1, t2)
         larger_css = "gnomon-odd" if t1 > t2 else "gnomon-even"
         shared = _band_rects(z, t_min, "shared")
-        larger_only = [
-            (t_min, 0, t_max - t_min, z - t_min, larger_css),
-            (t_max, z - t_max, z - t_max, t_max - t_min, larger_css),
-        ]
+        larger_only = _band_rects(z - t_min, t_max - t_min, larger_css, t_min)
         require(_rect_area(shared) == t_min * (2 * z - t_min), spec)
         require(_rect_area(shared) + _rect_area(larger_only) == t_max * (2 * z - t_max), spec)
         inner = (t_max, 0, z - t_max, z - t_max, "inner")

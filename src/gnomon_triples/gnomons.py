@@ -11,26 +11,24 @@ suffix of the longer.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .errors import require
-from .triples import GeneralTriple, Gnomon, PrimitiveTriple
+from .triples import GeneralTriple, Gnomon, scale
 
 # A gnomon pair is the scaled triple itself, so Gnomon and GeneralTriple live in triples.py.
 GnomonPair = GeneralTriple
 
+# Both gnomons of a triple scaled by k (default 1), inside its kz-by-kz square.
+gnomon_pair = scale
 
-def gnomon_pair(triple: PrimitiveTriple, k: int = 1) -> GnomonPair:
-    """Both gnomons of a triple scaled by k, inside its kz-by-kz square."""
-    return GnomonPair(triple, k)
+# The (odd-area, even-area) gnomons of a pair, each its own progression.
+pair_progressions = attrgetter("odd_gnomon", "even_gnomon")
 
 
 def scaled_gnomon_pair(general: GeneralTriple) -> GnomonPair:
     """Gnomons of a scaled triple: the triple itself, thicknesses k times the primitive ones."""
     return general
-
-
-def pair_progressions(pair: GnomonPair) -> tuple[Gnomon, Gnomon]:
-    """The (odd-area, even-area) gnomons of a pair, each its own progression."""
-    return pair.odd_gnomon, pair.even_gnomon
 
 
 def overlap_terms(pair: GnomonPair) -> tuple[range, Gnomon, Gnomon]:

@@ -70,8 +70,10 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
     """The row of a primitive triple in the total order.
 
     t and l are coprime, so the side's odd prime powers are theirs, each
-    factored on its own.
+    factored on its own.  Anything but a PrimitiveTriple raises TypeError.
     """
+    if not isinstance(triple, PrimitiveTriple):
+        raise TypeError(f"index_of takes a PrimitiveTriple, got {type(triple).__name__}")
     x, y, z = triple.values()
     s, t, l = split_of(x, y, z)
     odd_powers = factor_side(2 * t) + factor_side(2 * l)

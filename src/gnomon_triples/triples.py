@@ -165,6 +165,6 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     return k, invert(a // k, b // k, c // k)
 
 
-def scale(triple: PrimitiveTriple, k: int) -> GeneralTriple:
+def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
     """Multiply every element of a primitive triple by the coefficient k."""
     return GeneralTriple(base=triple, scale=k)

@@ -401,8 +401,10 @@ class TestUsage:
             ["table", "--to-s", "20000"],  # far past 8 KB: a flush inside main fails
             ["invert", "3", "4", "5"],
             ["verify", "--z-max", "100"],
+            ["--help"],  # argparse exits through SystemExit with the help still buffered
+            ["table", "--help"],
         ],
-        ids=["table", "table-20000", "invert", "verify"],
+        ids=["table", "table-20000", "invert", "verify", "help", "table-help"],
     )
     def test_failed_stdout_write_is_one_error_line(self, argv):
         with open("/dev/full", "wb") as full:
@@ -412,6 +414,18 @@ class TestUsage:
             )
         assert result.returncode == 1
         assert result.stderr == f"error: {os.strerror(errno.ENOSPC)}: <stdout>\n"
+
+    def test_help_into_a_pipe_without_reader_exits_one_silently(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gnomon_triples", "--help"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, b"")
 
     @pytest.mark.parametrize("argv", [["invert", "3", "4", "5"], ["table", "--to-s", "10"]],
                              ids=["invert", "table"])

@@ -168,8 +168,10 @@ class TestScaledPairs:
     def test_a_pair_is_its_scaled_triple(self):
         general = scale(PrimitiveTriple(15, 8, 17), 3)
         assert GnomonPair is GeneralTriple
+        assert gnomon_pair is scale
         assert gnomon_pair(general.base, 3) == general
         assert scaled_gnomon_pair(general) is general
+        assert pair_progressions(general) == (general.odd_gnomon, general.even_gnomon)
 
     def test_scale_four(self):
         pair = scaled_gnomon_pair(scale(PrimitiveTriple(3, 4, 5), 4))

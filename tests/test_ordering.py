@@ -15,7 +15,7 @@ from gnomon_triples.ordering import (
     stream,
 )
 from gnomon_triples.partitions import Partition
-from gnomon_triples.triples import PrimitiveTriple, construct, invert
+from gnomon_triples.triples import PrimitiveTriple, construct, invert, scale
 
 
 class TestStream:
@@ -112,6 +112,16 @@ class TestIndexOf:
     def test_returns_the_whole_row(self):
         row = index_of(construct(invert(55, 48, 73)))
         assert row == TableRow(n1=15, n2=2, s=30, t=3, l=5, x=55, y=48, z=73)
+
+    @pytest.mark.parametrize(
+        "value",
+        [scale(PrimitiveTriple(3, 4, 5), 2), (3, 4, 5)],
+        ids=["scaled-triple", "tuple"],
+    )
+    def test_takes_only_a_primitive_triple(self, value):
+        # A scaled triple also has .values(); (6, 8, 10) would read as the odd side 5.
+        with pytest.raises(TypeError, match="PrimitiveTriple"):
+            index_of(value)
 
     def test_prime_t_and_l_need_no_rho(self, monkeypatch):
         def no_rho(n):
