@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 domain errors (``error: <code>: ...`` on stderr) or
 a failed stdout write (``error: <strerror>: <stdout>``, silent on a closed
 pipe), 2 usage errors (an unwritable ``diagram --out`` path included).
 Data goes to stdout, diagnostics to stderr; only ``diagram --out`` writes a file.
+Run as a program, stdout is its own buffered stream on fd 1 (line-buffered on a
+terminal) whatever ``PYTHONUNBUFFERED`` says, so a non-blocking stdout that fills
+ends in ``error: write could not complete without blocking: <stdout>``.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-s", type=_even_side, default=2, help="first side (even, default 2)")
     p.add_argument("--to-s", type=_even_side, required=True, help="last side (even)")
     p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, subparser=p)
 
     p = sub.add_parser("table", help="appendix-style table for sides 2..B", epilog=SIZE_LIMIT)
     p.add_argument("--to-s", type=_even_side, required=True, help="last side (even)")
@@ -218,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "enumerate" and args.from_s > args.to_s:
-        parser.error(f"--from-s {args.from_s} exceeds --to-s {args.to_s}")
+        args.subparser.error(f"--from-s {args.from_s} exceeds --to-s {args.to_s}")
     # argv was parsed under the int-to-str digit limit; results may print longer ints.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -238,10 +239,8 @@ def main(argv: list[str] | None = None) -> int:
 def entry_point() -> None:
     """Run ``main`` as a program; a failed stdout write ends it with exit 1."""
     try:
-        if sys.stdout is None:  # Python leaves it None when fd 1 is closed at start
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        # Block-buffer even under PYTHONUNBUFFERED, which costs one write(2) per row.
-        sys.stdout.reconfigure(write_through=False, line_buffering=sys.stdout.isatty())
+        # Its own buffered stream on fd 1 whatever PYTHONUNBUFFERED says; a tty's is line-buffered.
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
         try:
             code = main()
         finally:  # argparse's --help exits through here too

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import tempfile
 import time
 import xml.etree.ElementTree as ET
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,9 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--from-s", "30", "--to-s", "4"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: gnomon-triples enumerate ")
+        assert err[-1] == "gnomon-triples enumerate: error: --from-s 30 exceeds --to-s 4"
 
     def test_side_with_a_prime_half_near_10_18(self, capsys):
         side = str(2 * (10**18 + 3))
@@ -330,6 +335,36 @@ class TestDiagram:
         assert exc.value.code == 2
 
 
+HAVE_PROC_IO = os.path.exists("/proc/self/io")
+# Runs the CLI and then writes to stderr how many write(2) calls it made.
+COUNTING_CHILD = """\
+import os, sys
+from gnomon_triples import cli
+
+def syscw():
+    if not os.path.exists("/proc/self/io"):
+        return 0
+    with open("/proc/self/io") as io:
+        return int(dict(line.split(":") for line in io)["syscw"])
+
+before = syscw()
+try:
+    cli.entry_point()
+finally:
+    sys.stderr.write(f"syscw {syscw() - before}\\n")
+"""
+
+
+def counted_child(*argv):
+    # -B: no bytecode-cache writes to count.
+    return [sys.executable, "-B", "-c", COUNTING_CHILD, *argv]
+
+
+def child_env(unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 class TestUsage:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -458,33 +493,63 @@ class TestUsage:
         assert err.startswith("error: size-limit: factor 166666666667 ")
         assert (result.returncode, result.stdout) == (1, out + err)
 
-    def test_stdout_is_block_buffered_under_pythonunbuffered(self, monkeypatch, golden_table_text):
-        # Under PYTHONUNBUFFERED=1 Python's stdout is a write-through text layer
-        # straight over the raw file: without entry_point's reconfigure, one
-        # raw write per row.
-        class CountingRaw(io.RawIOBase):
-            def __init__(self):
-                self.writes, self.data = 0, bytearray()
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "default"])
+    def test_full_non_blocking_stdout_is_one_error_line(self, unbuffered):
+        # Nothing reads the pipe before the child exits, so its writes fill it.
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gnomon_triples", "table", "--to-s", "20000"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=child_env(unbuffered),
+            )
+        finally:
+            os.close(write_end)
+            os.close(read_end)
+        assert result.returncode == 1
+        assert result.stderr == "error: write could not complete without blocking: <stdout>\n"
 
-            def writable(self):
-                return True
-
-            def write(self, b):
-                self.writes += 1
-                self.data += b
-                return len(b)
-
-        raw = CountingRaw()
-        stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
-        monkeypatch.setattr(sys, "stdout", stdout)
-        monkeypatch.setattr(sys, "argv", ["gnomon-triples", "table", "--to-s", "50000"])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry_point()
-        assert exc.value.code == 0
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "default"])
+    def test_stdout_is_block_buffered(self, unbuffered, golden_table_text):
+        result = subprocess.run(
+            counted_child("table", "--to-s", "50000"),
+            capture_output=True, text=True, timeout=60, env=child_env(unbuffered),
+        )
         expected = render_table(stream(2, 50_000))
-        assert raw.data.decode() == expected
+        assert result.returncode == 0
+        assert result.stdout == expected
         assert expected.startswith(golden_table_text)
-        assert raw.writes <= expected.count("\n") // 100
+        if HAVE_PROC_IO:
+            assert int(result.stderr.removeprefix("syscw ")) <= expected.count("\n") // 100
+
+    @pytest.mark.skipif(not (hasattr(os, "openpty") and HAVE_PROC_IO),
+                        reason="needs os.openpty and /proc/self/io")
+    def test_terminal_stdout_is_line_buffered(self, golden_table_text):
+        master, slave = os.openpty()
+        chunks = []
+        try:
+            with subprocess.Popen(counted_child("table", "--to-s", "100"),
+                                  stdout=slave, stderr=subprocess.PIPE, text=True) as proc:
+                os.close(slave)
+                try:
+                    while chunk := os.read(master, 4096):
+                        chunks.append(chunk)
+                except OSError as exc:  # the child has closed the terminal
+                    assert exc.errno == errno.EIO
+                err = proc.stderr.read()
+        finally:
+            os.close(master)
+        assert proc.returncode == 0
+        assert b"".join(chunks).replace(b"\r\n", b"\n").decode() == golden_table_text
+        assert int(err.removeprefix("syscw ")) >= golden_table_text.count("\n")
+
+    def test_console_script_is_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = scripts["gnomon-triples"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.entry_point
 
     def test_runtime_imports_only_the_standard_library(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
