@@ -19,7 +19,6 @@ from .errors import (
 )
 from .gnomons import (
     Gnomon,
-    GnomonPair,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
@@ -51,7 +50,6 @@ __all__ = [
     "DomainError",
     "GeneralTriple",
     "Gnomon",
-    "GnomonPair",
     "MalformedTripleError",
     "NotATripleError",
     "NotPrimitiveError",

@@ -49,6 +49,8 @@ class DiagramSpec:
     unit_px: float = 10.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.triple, PrimitiveTriple):
+            raise TypeError(f"DiagramSpec takes a PrimitiveTriple, got {type(self.triple).__name__}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
         if self.scale_k < 1:
@@ -88,11 +90,8 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[_Rect]]:
     square's area exactly.
     """
     x, y, z = spec.triple.values()
-    k = spec.scale_k
+    k = 1 if spec.kind == "square_gnomon_even" else spec.scale_k
     t1, t2 = z - y, z - x
-
-    if spec.kind == "square_gnomon_even":
-        return z, _square_gnomon(z, t1, x, "gnomon-odd"), []
 
     if spec.kind == "square_gnomon_odd":
         return z, _square_gnomon(z, t2, y, "gnomon-even"), []
@@ -110,8 +109,8 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[_Rect]]:
     if spec.kind == "lattice":
         return k * z, [(0, 0, k * z, k * z, "frame")], _square_gnomon(z, t1, x, "gnomon-odd")
 
-    # lattice_regrouped: all even-leg squares gathered top right, one total
-    # gnomon of thickness k*(z - y) along the left and bottom.
+    # lattice_regrouped, and square_gnomon_even as its k = 1 case: all even-leg
+    # squares gathered top right, one gnomon of thickness k*(z - y) left and bottom.
     return k * z, _square_gnomon(k * z, k * t1, k * x, "gnomon-odd"), []
 
 

@@ -16,9 +16,6 @@ from operator import attrgetter
 from .errors import require
 from .triples import GeneralTriple, Gnomon, scale
 
-# A gnomon pair is the scaled triple itself, so Gnomon and GeneralTriple live in triples.py.
-GnomonPair = GeneralTriple
-
 # Both gnomons of a triple scaled by k (default 1), inside its kz-by-kz square.
 gnomon_pair = scale
 
@@ -26,12 +23,12 @@ gnomon_pair = scale
 pair_progressions = attrgetter("odd_gnomon", "even_gnomon")
 
 
-def scaled_gnomon_pair(general: GeneralTriple) -> GnomonPair:
+def scaled_gnomon_pair(general: GeneralTriple) -> GeneralTriple:
     """Gnomons of a scaled triple: the triple itself, thicknesses k times the primitive ones."""
     return general
 
 
-def overlap_terms(pair: GnomonPair) -> tuple[range, Gnomon, Gnomon]:
+def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:
     """Shared suffix of the pair's two progressions, plus both gnomons.
 
     Both progressions end at one less than twice the outer side, so the one

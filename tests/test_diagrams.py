@@ -14,7 +14,7 @@ from gnomon_triples import diagrams
 from gnomon_triples.diagrams import KINDS, MAX_LATTICE_CELLS, MAX_SIDE_PX, DiagramSpec, render
 from gnomon_triples.errors import SizeLimitError
 from gnomon_triples.ordering import stream
-from gnomon_triples.triples import PrimitiveTriple
+from gnomon_triples.triples import PrimitiveTriple, scale
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -188,6 +188,10 @@ class TestRendering:
             DiagramSpec("lattice", T345, scale_k=0)
         with pytest.raises(ValueError):
             DiagramSpec("lattice", T345, unit_px=0)
+        with pytest.raises(TypeError, match="GeneralTriple"):
+            DiagramSpec("square_gnomon_even", scale(T345, 2))
+        with pytest.raises(TypeError, match="tuple"):
+            DiagramSpec("lattice", (3, 4, 5))
 
     def test_trailing_newline_and_no_float_noise(self):
         svg = render(DiagramSpec("square_gnomon_even", T345, unit_px=2.5))

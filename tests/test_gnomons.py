@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gnomon_triples.gnomons import (
     Gnomon,
-    GnomonPair,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
@@ -20,7 +19,7 @@ from gnomon_triples.partitions import Partition
 from gnomon_triples.triples import GeneralTriple, PrimitiveTriple, construct, scale
 
 
-class TestGnomonPair:
+class TestPairOfGnomons:
     @pytest.mark.parametrize(
         "triple,t1,t2,areas",
         [
@@ -55,7 +54,7 @@ class TestGnomonPair:
             Gnomon(thickness=6, side_length=5)
 
     def test_scale_below_one_is_rejected(self):
-        for make in (gnomon_pair, GnomonPair, scale):
+        for make in (gnomon_pair, GeneralTriple, scale):
             for k in (0, -1):
                 with pytest.raises(ValueError):
                     make(PrimitiveTriple(3, 4, 5), k)
@@ -167,7 +166,6 @@ class TestScaledPairs:
 
     def test_a_pair_is_its_scaled_triple(self):
         general = scale(PrimitiveTriple(15, 8, 17), 3)
-        assert GnomonPair is GeneralTriple
         assert gnomon_pair is scale
         assert gnomon_pair(general.base, 3) == general
         assert scaled_gnomon_pair(general) is general

@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -49,8 +50,15 @@ def test_cli_examples_cover_the_annotated_outputs():
 
 
 def test_library_import_runs():
-    block = _first_code_block("## Library")
-    statement = re.search(r"from gnomon_triples import \(.*?\)", block, re.DOTALL).group()
-    namespace = {}
-    exec(statement, namespace)
+    """The ``## Library`` block, run REPL-style: ``_`` is the last expression's value."""
+    block = _first_code_block("## Library").partition("\n")[2]
+    namespace, shown = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            namespace["_"] = shown[ast.get_source_segment(block, node)] = value
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert shown["construct(_).values()"] == (4961, 6480, 8161)
+    assert isinstance(node, ast.Expr) and namespace["_"] is True
     assert {"gnomon_pair", "pair_progressions", "index_of", "render"} <= namespace.keys()
