@@ -21,7 +21,7 @@ from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
 from .gnomons import gnomon_pair, overlap_terms, pair_progressions
 from .oracle import brute_force_primitive, euclid_parametrization
-from .ordering import render_row, stream
+from .ordering import render_lines, stream
 from .partitions import BASE_PRIME_CAP, PSI_13
 from .triples import construct, decompose_general, invert
 
@@ -83,8 +83,8 @@ def _print_pair(odd, even) -> None:
 
 def cmd_enumerate(args) -> int:
     write = sys.stdout.write
-    for row in stream(args.from_s, args.to_s):
-        write(render_row(row, args.format) + "\n")
+    for line in render_lines(args.from_s, args.to_s, args.format):
+        write(line)
     return 0
 
 

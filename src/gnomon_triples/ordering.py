@@ -7,18 +7,19 @@ inward visits every primitive triple exactly once.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from types import MethodType
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import Partition, factor_side, factor_window, odd_parts
 from .triples import PrimitiveTriple, split_of
 
-# Per format, the line of a side's first split (n = 1) and of its later ones.
-# The appendix prints the side only on the first, as the ordered table is
-# usually typeset: %.0s consumes the side and prints nothing.
-_TSV = "%s.%s\t%s\t%s\t%s\t%s\t%s\t%s"
-_JSONL = '{"n1":%s,"n2":%s,"s":%s,"t":%s,"l":%s,"x":%s,"y":%s,"z":%s}'
+# Per format, the line of a side's first split (n = 1) and of its later ones,
+# newline included.  The appendix prints the side only on the first, as the
+# ordered table is usually typeset: %.0s consumes the side and prints nothing.
+_TSV = "%s.%s\t%s\t%s\t%s\t%s\t%s\t%s\n"
+_JSONL = '{"n1":%s,"n2":%s,"s":%s,"t":%s,"l":%s,"x":%s,"y":%s,"z":%s}\n'
 ROW_TEMPLATES = {
-    "appendix": (_TSV, "%s.%s\t%.0s\t%s\t%s\t%s\t%s\t%s"),
+    "appendix": (_TSV, "%s.%s\t%.0s\t%s\t%s\t%s\t%s\t%s\n"),
     "tsv": (_TSV, _TSV),
     "jsonl": (_JSONL, _JSONL),
 }
@@ -50,20 +51,23 @@ class TableRow(NamedTuple):
         return PrimitiveTriple(self.x, self.y, self.z)
 
 
-def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
-    """Rows for all sides in [from_s, to_s], ordered by (N, n).
-
-    Lazy: rows for one side are produced without factoring past its sieve segment.
-    A row is construct's forward map, unchecked, and tuple.__new__ builds it in C.
-    """
-    new = tuple.__new__
+def _rows(from_s: int, to_s: int, first: Callable, later: Callable) -> Iterator:
+    """first(row) for each side's first split, later(row) for the rest; lazy, side by side."""
     for side, odd_powers in factor_window(from_s, to_s):
         half = side // 2
+        make = first
         for rank, l in enumerate(odd_parts(odd_powers), start=1):
             t = half // l
             x = side + l * l
             y = side + 2 * t * t
-            yield new(TableRow, (half, rank, side, t, l, x, y, x + y - side))
+            yield make((half, rank, side, t, l, x, y, x + y - side))
+            make = later
+
+
+def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
+    """Rows for all sides in [from_s, to_s], ordered by (N, n); lazy, each built in C."""
+    make = MethodType(tuple.__new__, TableRow)  # tuple.__new__(TableRow, row), in C
+    return _rows(from_s, to_s, make, make)
 
 
 def index_of(triple: PrimitiveTriple) -> TableRow:
@@ -80,15 +84,25 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
     return TableRow(s // 2, 1 + odd_parts(odd_powers).index(l), s, t, l, x, y, z)
 
 
+def _templates(fmt: str) -> tuple[str, str]:
+    """fmt's (first split, later split) line templates; the one format check."""
+    if fmt not in ROW_TEMPLATES:
+        raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
+    return ROW_TEMPLATES[fmt]
+
+
 def render_row(row: TableRow, fmt: str) -> str:
     """One output line for a row, without the trailing newline."""
-    try:
-        template = ROW_TEMPLATES[fmt][row.n2 > 1]
-    except KeyError:
-        raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
-    return template % row
+    return (_templates(fmt)[row.n2 > 1] % row)[:-1]
 
 
 def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
     """Render rows as text; empty input renders as empty output."""
-    return "".join(render_row(r, fmt) + "\n" for r in rows)
+    templates = _templates(fmt)
+    return "".join(templates[r.n2 > 1] % r for r in rows)
+
+
+def render_lines(from_s: int, to_s: int, fmt: str) -> Iterator[str]:
+    """stream(from_s, to_s) as lines in fmt, formatted in its row loop; fmt is checked here."""
+    first, later = _templates(fmt)
+    return _rows(from_s, to_s, first.__mod__, later.__mod__)

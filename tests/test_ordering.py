@@ -1,15 +1,18 @@
 """Ordered streaming, index lookup, and the three table formats."""
 
 import json
+import sys
 
 import pytest
 
-from gnomon_triples import partitions
+from gnomon_triples import ordering, partitions
+from gnomon_triples.errors import SizeLimitError
 from gnomon_triples.oracle import brute_force_primitive
 from gnomon_triples.ordering import (
     TABLE_FORMATS,
     TableRow,
     index_of,
+    render_lines,
     render_row,
     render_table,
     stream,
@@ -62,6 +65,15 @@ class TestStream:
             list(stream(2, 7))
         with pytest.raises(ValueError):
             list(stream(10, 2))
+
+    @pytest.mark.parametrize("from_s,to_s", [(4, 2), (3, 5)])
+    def test_bad_range_raises_on_the_first_next_not_at_the_call(self, from_s, to_s):
+        rows = stream(from_s, to_s)
+        with pytest.raises(ValueError):
+            next(rows)
+
+    def test_rows_are_table_rows(self):
+        assert all(type(row) is TableRow for row in stream(2, 200))
 
     def test_hypotenuse_exceeds_side_by_at_least_three(self):
         # z = S + 2t^2 + l^2 >= S + 3 since t, l >= 1
@@ -180,5 +192,52 @@ class TestRenderTable:
         with pytest.raises(ValueError):
             render_row(next(stream(2, 2)), "csv")
 
+    def test_unknown_format_is_rejected_for_an_empty_table(self):
+        with pytest.raises(ValueError) as expected:
+            render_row(next(stream(2, 2)), "csv")
+        with pytest.raises(ValueError) as raised:
+            render_table([], "csv")
+        assert str(raised.value) == str(expected.value)
+
     def test_matches_golden_table(self, golden_table_text):
         assert render_table(stream(2, 100), "appendix") == golden_table_text
+
+
+class TestRenderLines:
+    @pytest.mark.parametrize("fmt", TABLE_FORMATS)
+    @pytest.mark.parametrize(
+        "from_s,to_s",
+        [(2, 2000), (10**12, 10**12 + 2000), (10**20, 10**20 + 40), (2**13000, 2**13000)],
+        ids=["dense", "from-1e12", "from-1e20", "side-2^13000"],
+    )
+    def test_lines_are_the_rendered_stream(self, from_s, to_s, fmt):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the rows of side 2**13000 print longer ints
+        try:
+            expected = render_table(stream(from_s, to_s), fmt)
+            assert "".join(render_lines(from_s, to_s, fmt)) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_unknown_format_is_rejected_before_any_side_is_factored(self, monkeypatch):
+        def no_sieve(from_s, to_s):
+            raise AssertionError("a side was factored")
+
+        monkeypatch.setattr(ordering, "factor_window", no_sieve)
+        with pytest.raises(ValueError, match="unknown table format 'csv'"):
+            render_lines(2, 4, "csv")
+
+    @pytest.mark.parametrize("rows", [lambda a, b: render_lines(a, b, "tsv"), stream],
+                             ids=["render_lines", "stream"])
+    def test_rows_before_a_size_limit_come_out_first(self, monkeypatch, rows):
+        # With the bound lowered to 10^11, the third side, 4 * 3 * 166666666667,
+        # is a size-limit error; the 10 rows of the two sides before it come first.
+        monkeypatch.setattr(partitions, "PSI_13", 10**11)
+        from_s = 2 * 10**12
+        expected = list(rows(from_s, from_s + 2))
+        produced = []
+        with pytest.raises(SizeLimitError):
+            for row in rows(from_s, from_s + 400):
+                produced.append(row)
+        assert len(expected) == 10
+        assert produced == expected
