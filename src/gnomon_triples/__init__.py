@@ -9,6 +9,8 @@ which orders the whole set by (S/2, rank of t) and inverts exactly through
 l = sqrt(z - y), S = x - l^2, t = S/(2l).
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import (
     DomainError,
@@ -44,36 +46,9 @@ from .triples import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "KINDS",
-    "DiagramSpec",
-    "DomainError",
-    "GeneralTriple",
-    "Gnomon",
-    "MalformedTripleError",
-    "NotATripleError",
-    "NotPrimitiveError",
-    "Partition",
-    "PrimitiveTriple",
-    "SizeLimitError",
-    "TableRow",
-    "brute_force_primitive",
-    "construct",
-    "decompose_general",
-    "ensure_side",
-    "enumerate_partitions",
-    "euclid_parametrization",
-    "factor_side",
-    "gnomon_pair",
-    "index_of",
-    "invert",
-    "overlap_terms",
-    "pair_progressions",
-    "partition_count",
-    "render",
-    "render_row",
-    "render_table",
-    "scale",
-    "scaled_gnomon_pair",
-    "stream",
-]
+# The exports are the public names imported above, submodules aside.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

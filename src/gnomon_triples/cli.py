@@ -41,7 +41,7 @@ def _positive_int(text: str) -> int:
 
 def _even_side(text: str) -> int:
     value = _positive_int(text)
-    if value % 2 != 0 or value < 2:
+    if value % 2:
         raise argparse.ArgumentTypeError(f"expected a positive even integer, got {text}")
     return value
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from itertools import chain
 from math import gcd
 from pathlib import Path
 
@@ -219,6 +220,24 @@ class TestVerify:
         assert exc.value.code == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("usage:")
+
+    def test_both_ends_of_the_bound_are_accepted(self):
+        assert cli._z_max("5") == 5
+        assert cli._z_max(str(Z_MAX_CAP)) == Z_MAX_CAP
+
+    def test_a_repeated_row_fails(self, capsys, monkeypatch):
+        # Side 2's one row, (3, 4, 5), comes once more ahead of the real stream.
+        monkeypatch.setattr(cli, "stream", lambda lo, hi: chain(stream(2, 2), stream(lo, hi)))
+        code, out, _ = run_cli(capsys, "verify", "--z-max", "100")
+        assert code == 1
+        assert out == (
+            "enumerator: 16\nbrute_force: 16\neuclid: 16\nFAIL\n"
+            "enumerator repeats: 1\n"
+            "enumerator - brute_force: 0\n"
+            "brute_force - enumerator: 0\n"
+            "enumerator - euclid: 0\n"
+            "euclid - enumerator: 0\n"
+        )
 
     def test_failure_names_the_triples_that_disagree(self, capsys, monkeypatch):
         def brute_without_3_4_5(z_max):

@@ -1,8 +1,44 @@
-"""The package's export list matches what it binds."""
+"""The package's public API: the exact set of names it exports.
 
-from types import ModuleType
+``__all__`` is derived from the names ``__init__`` imports, so this pin is
+what notices an export that is dropped, renamed or added.
+"""
 
 import gnomon_triples
+
+EXPORTS = (
+    "DiagramSpec",
+    "DomainError",
+    "GeneralTriple",
+    "Gnomon",
+    "KINDS",
+    "MalformedTripleError",
+    "NotATripleError",
+    "NotPrimitiveError",
+    "Partition",
+    "PrimitiveTriple",
+    "SizeLimitError",
+    "TableRow",
+    "brute_force_primitive",
+    "construct",
+    "decompose_general",
+    "ensure_side",
+    "enumerate_partitions",
+    "euclid_parametrization",
+    "factor_side",
+    "gnomon_pair",
+    "index_of",
+    "invert",
+    "overlap_terms",
+    "pair_progressions",
+    "partition_count",
+    "render",
+    "render_row",
+    "render_table",
+    "scale",
+    "scaled_gnomon_pair",
+    "stream",
+)
 
 
 def test_star_import_binds_exactly_all():
@@ -11,10 +47,5 @@ def test_star_import_binds_exactly_all():
     assert namespace.keys() - {"__builtins__"} == set(gnomon_triples.__all__)
 
 
-def test_all_is_every_public_name_that_is_not_a_module():
-    public = {
-        name
-        for name, value in vars(gnomon_triples).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert sorted(gnomon_triples.__all__) == sorted(public)
+def test_all_is_the_pinned_export_set():
+    assert tuple(sorted(gnomon_triples.__all__)) == EXPORTS

@@ -245,9 +245,21 @@ class TestFactoringLayer:
         window = sieved(2 * half, 2 * (half + width))
         assert window == [(2 * h, odd_factorint(2 * h)) for h in range(half, half + width + 1)]
 
+    # psi_4, psi_9, then every other distinct psi_k of OEIS A014233 up to k = 12:
+    # the least strong pseudoprime to the first k prime bases.
     @pytest.mark.parametrize(
         "n, primes",
-        [(3215031751, (151, 751, 28351)), (3825123056546413051, (149491, 747451, 34233211))],
+        [
+            (3215031751, (151, 751, 28351)),
+            (3825123056546413051, (149491, 747451, 34233211)),
+            (2047, (23, 89)),
+            (1373653, (829, 1657)),
+            (25326001, (2251, 11251)),
+            (2152302898747, (6763, 10627, 29947)),
+            (3474749660383, (1303, 16927, 157543)),
+            (341550071728321, (10670053, 32010157)),
+            (318665857834031151167461, (399165290221, 798330580441)),
+        ],
     )
     def test_strong_pseudoprimes_are_split(self, n, primes):
         assert not partitions._is_prime(n)
@@ -264,7 +276,9 @@ class TestFactoringLayer:
         assert factor_side(2 * prime) == ((prime, 1),)
         assert sieved(2 * prime, 2 * prime) == [(2 * prime, ((prime, 1),))]
 
-    @pytest.mark.parametrize("n", [sympy.nextprime(PSI_13), 65537 * sympy.nextprime(PSI_13 // 65537)])
+    @pytest.mark.parametrize(
+        "n", [PSI_13, sympy.nextprime(PSI_13), 65537 * sympy.nextprime(PSI_13 // 65537)]
+    )
     def test_cofactor_at_or_past_the_bound_is_a_size_limit(self, n):
         with pytest.raises(SizeLimitError):
             factor_side(2 * n)
