@@ -20,11 +20,12 @@ from .errors import (
     SizeLimitError,
 )
 from .gnomons import (
+    GeneralTriple,
     Gnomon,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
-    scaled_gnomon_pair,
+    scale,
 )
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import TableRow, index_of, render_row, render_table, stream
@@ -35,14 +36,7 @@ from .partitions import (
     factor_side,
     partition_count,
 )
-from .triples import (
-    GeneralTriple,
-    PrimitiveTriple,
-    construct,
-    decompose_general,
-    invert,
-    scale,
-)
+from .triples import PrimitiveTriple, construct, decompose_general, invert
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, require
+from .gnomons import scale
 from .triples import PrimitiveTriple
 
 KINDS = (
@@ -49,14 +50,11 @@ class DiagramSpec:
     unit_px: float = 10.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.triple, PrimitiveTriple):
-            raise TypeError(f"DiagramSpec takes a PrimitiveTriple, got {type(self.triple).__name__}")
+        scale(self.triple, self.scale_k)  # a PrimitiveTriple at a positive int scale
         if self.kind not in KINDS:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
-        if self.scale_k < 1:
-            raise ValueError(f"scale_k must be >= 1, got {self.scale_k}")
-        if not self.unit_px > 0:
-            raise ValueError(f"unit_px must be positive, got {self.unit_px}")
+        if not 0 < self.unit_px <= sys.float_info.max:
+            raise ValueError(f"unit_px must be a positive finite number, got {self.unit_px}")
 
 
 def _band_rects(frame: int, thickness: int, css: str, dx: int = 0) -> list[_Rect]:

@@ -11,21 +11,102 @@ suffix of the longer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import require
-from .triples import GeneralTriple, Gnomon, scale
+from .triples import PrimitiveTriple
+
+
+@dataclass(frozen=True)
+class Gnomon:
+    """An L-shaped border of thickness T inside a square of side L.
+
+    It is also its odd-number progression: the T odd numbers from
+    2(L - T) + 1 to 2L - 1, which sum to its area T(2L - T).
+    """
+
+    thickness: int
+    side_length: int
+
+    def __post_init__(self) -> None:
+        if not 0 < self.thickness <= self.side_length:
+            raise ValueError(
+                f"thickness must lie in 1..side_length, got {self.thickness}"
+                f" for side {self.side_length}"
+            )
+
+    @property
+    def area(self) -> int:
+        return self.thickness * (2 * self.side_length - self.thickness)
+
+    @property
+    def first_term(self) -> int:
+        return 2 * (self.side_length - self.thickness) + 1
+
+    @property
+    def last_term(self) -> int:
+        return 2 * self.side_length - 1
+
+    def terms(self) -> range:
+        """The odd-number progression, lazily."""
+        return range(self.first_term, 2 * self.side_length, 2)
+
+
+@dataclass(frozen=True)
+class GeneralTriple:
+    """A primitive triple scaled by k, and its two gnomons over the same kz-by-kz square.
+
+    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
+    area (kx)^2; ``even_gnomon`` sits on the odd-leg square and carries the
+    even leg's area (ky)^2.
+    """
+
+    base: PrimitiveTriple
+    scale: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.base, PrimitiveTriple):
+            raise TypeError(f"triple must be a PrimitiveTriple, got {type(self.base).__name__}")
+        if not isinstance(self.scale, int) or isinstance(self.scale, bool):
+            raise TypeError(f"scale must be an int, got {type(self.scale).__name__}")
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale}")
+
+    @property
+    def x(self) -> int:
+        return self.scale * self.base.x
+
+    @property
+    def y(self) -> int:
+        return self.scale * self.base.y
+
+    @property
+    def z(self) -> int:
+        return self.scale * self.base.z
+
+    def values(self) -> tuple[int, int, int]:
+        return (self.x, self.y, self.z)
+
+    @property
+    def odd_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.y, self.z)
+
+    @property
+    def even_gnomon(self) -> Gnomon:
+        return Gnomon(self.z - self.x, self.z)
+
+
+def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
+    """Multiply every element of a primitive triple by the coefficient k."""
+    return GeneralTriple(base=triple, scale=k)
+
 
 # Both gnomons of a triple scaled by k (default 1), inside its kz-by-kz square.
 gnomon_pair = scale
 
 # The (odd-area, even-area) gnomons of a pair, each its own progression.
 pair_progressions = attrgetter("odd_gnomon", "even_gnomon")
-
-
-def scaled_gnomon_pair(general: GeneralTriple) -> GeneralTriple:
-    """Gnomons of a scaled triple: the triple itself, thicknesses k times the primitive ones."""
-    return general
 
 
 def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:

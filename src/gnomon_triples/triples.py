@@ -48,81 +48,6 @@ class PrimitiveTriple:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Gnomon:
-    """An L-shaped border of thickness T inside a square of side L.
-
-    It is also its odd-number progression: the T odd numbers from
-    2(L - T) + 1 to 2L - 1, which sum to its area T(2L - T).
-    """
-
-    thickness: int
-    side_length: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.thickness <= self.side_length:
-            raise ValueError(
-                f"thickness must lie in 1..side_length, got {self.thickness}"
-                f" for side {self.side_length}"
-            )
-
-    @property
-    def area(self) -> int:
-        return self.thickness * (2 * self.side_length - self.thickness)
-
-    @property
-    def first_term(self) -> int:
-        return 2 * (self.side_length - self.thickness) + 1
-
-    @property
-    def last_term(self) -> int:
-        return 2 * self.side_length - 1
-
-    def terms(self) -> range:
-        """The odd-number progression, lazily."""
-        return range(self.first_term, 2 * self.side_length, 2)
-
-
-@dataclass(frozen=True)
-class GeneralTriple:
-    """A primitive triple scaled by k, and its two gnomons over the same kz-by-kz square.
-
-    ``odd_gnomon`` sits on the even-leg square and carries the odd leg's
-    area (kx)^2; ``even_gnomon`` sits on the odd-leg square and carries the
-    even leg's area (ky)^2.
-    """
-
-    base: PrimitiveTriple
-    scale: int
-
-    def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
-
-    @property
-    def x(self) -> int:
-        return self.scale * self.base.x
-
-    @property
-    def y(self) -> int:
-        return self.scale * self.base.y
-
-    @property
-    def z(self) -> int:
-        return self.scale * self.base.z
-
-    def values(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
-    @property
-    def odd_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.y, self.z)
-
-    @property
-    def even_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.x, self.z)
-
-
 def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
     """(S, t, l) of a primitive triple, unchecked: the inverse of construct."""
     l = isqrt(z - y)
@@ -164,7 +89,3 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     k = gcd(gcd(a, b), c)
     return k, invert(a // k, b // k, c // k)
 
-
-def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
-    """Multiply every element of a primitive triple by the coefficient k."""
-    return GeneralTriple(base=triple, scale=k)

@@ -14,11 +14,11 @@ import sympy
 
 from gnomon_triples.cli import main
 from gnomon_triples.diagrams import KINDS, DiagramSpec, render
-from gnomon_triples.gnomons import gnomon_pair, overlap_terms, pair_progressions, scaled_gnomon_pair
+from gnomon_triples.gnomons import gnomon_pair, overlap_terms, pair_progressions, scale
 from gnomon_triples.oracle import brute_force_primitive, euclid_parametrization
 from gnomon_triples.ordering import stream
 from gnomon_triples.partitions import Partition, enumerate_partitions, partition_count
-from gnomon_triples.triples import construct, decompose_general, invert, scale
+from gnomon_triples.triples import construct, decompose_general, invert
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -129,7 +129,7 @@ def test_criterion_6_scaling_law():
             x, y, z = row.triple.values()
             t, l = row.partition.t, row.partition.l
             for k in range(1, 21):
-                pair = scaled_gnomon_pair(scale(row.triple, k))
+                pair = scale(row.triple, k)
                 assert pair.odd_gnomon.thickness == k * l * l
                 assert pair.even_gnomon.thickness == 2 * k * t * t
                 assert pair.odd_gnomon.side_length == k * z

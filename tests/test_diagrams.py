@@ -13,8 +13,9 @@ import pytest
 from gnomon_triples import diagrams
 from gnomon_triples.diagrams import KINDS, MAX_LATTICE_CELLS, MAX_SIDE_PX, DiagramSpec, render
 from gnomon_triples.errors import SizeLimitError
+from gnomon_triples.gnomons import scale
 from gnomon_triples.ordering import stream
-from gnomon_triples.triples import PrimitiveTriple, scale
+from gnomon_triples.triples import PrimitiveTriple
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -94,6 +95,7 @@ class TestLattices:
         for k in (1, 2, 3, 5):
             svg = render(DiagramSpec("lattice", T345, scale_k=k, unit_px=1))
             assert svg.count('<g class="cell"') == k * k
+        assert render(DiagramSpec("lattice", T345)).count('<g class="cell"') == 1  # k defaults to 1
 
     def test_regrouped_geometry_for_scale_four(self):
         svg = render(DiagramSpec("lattice_regrouped", T345, scale_k=4, unit_px=10))
@@ -173,6 +175,8 @@ class TestRendering:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             render(DiagramSpec("square_gnomon_even", T345, unit_px=MAX_SIDE_PX))
+        with pytest.raises(SizeLimitError):  # the largest finite unit is accepted, then too large
+            render(DiagramSpec("square_gnomon_even", T345, unit_px=sys.float_info.max))
         # exactly at the limit is fine
         render(DiagramSpec("square_gnomon_even", T345, unit_px=MAX_SIDE_PX / 5))
         # the cell cap holds however small the unit: 100^2 cells pass, 101^2 do not
@@ -188,10 +192,19 @@ class TestRendering:
             DiagramSpec("lattice", T345, scale_k=0)
         with pytest.raises(ValueError):
             DiagramSpec("lattice", T345, unit_px=0)
+        with pytest.raises(ValueError):  # an int too large for a float is not a finite unit
+            render(DiagramSpec("lattice", T345, unit_px=10**400))
         with pytest.raises(TypeError, match="GeneralTriple"):
             DiagramSpec("square_gnomon_even", scale(T345, 2))
         with pytest.raises(TypeError, match="tuple"):
             DiagramSpec("lattice", (3, 4, 5))
+        # k must be an int, and a bool is not one
+        with pytest.raises(TypeError, match="float"):
+            render(DiagramSpec("lattice_regrouped", T345, scale_k=2.3, unit_px=1))
+        with pytest.raises(TypeError, match="float"):
+            render(DiagramSpec("lattice_regrouped", T345, scale_k=2.5))
+        with pytest.raises(TypeError, match="bool"):
+            DiagramSpec("lattice", T345, scale_k=True)
 
     def test_trailing_newline_and_no_float_noise(self):
         svg = render(DiagramSpec("square_gnomon_even", T345, unit_px=2.5))

@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnomon_triples.gnomons import (
+    GeneralTriple,
     Gnomon,
     gnomon_pair,
     overlap_terms,
     pair_progressions,
-    scaled_gnomon_pair,
+    scale,
 )
 from gnomon_triples.ordering import stream
 from gnomon_triples.partitions import Partition
-from gnomon_triples.triples import GeneralTriple, PrimitiveTriple, construct, scale
+from gnomon_triples.triples import PrimitiveTriple, construct
 
 
 class TestPairOfGnomons:
@@ -58,6 +59,12 @@ class TestPairOfGnomons:
             for k in (0, -1):
                 with pytest.raises(ValueError):
                     make(PrimitiveTriple(3, 4, 5), k)
+            # a scale that is not an int, or a base that is not a primitive triple
+            for k in (2.5, True):
+                with pytest.raises(TypeError, match="scale must be an int"):
+                    make(PrimitiveTriple(3, 4, 5), k)
+            with pytest.raises(TypeError, match="tuple"):
+                make((3, 4, 5), 2)
 
 
 class TestProgressionOnSquare:
@@ -77,7 +84,7 @@ class TestProgressionOnSquare:
         assert prog.area == sum(range(17, 34, 2)) == 225
 
     def test_total_is_difference_of_squares(self):
-        for side in range(1, 60):
+        for side in range(0, 60):  # side 0: the gnomon is the whole square
             for thickness in range(1, 60):
                 prog = Gnomon(thickness, side + thickness)
                 assert prog.area == (side + thickness) ** 2 - side**2
@@ -162,24 +169,23 @@ class TestTermByTermSums:
 class TestScaledPairs:
     def test_identity_scale_matches_plain_pair(self):
         base = PrimitiveTriple(3, 4, 5)
-        assert scaled_gnomon_pair(scale(base, 1)) == gnomon_pair(base)
+        assert scale(base, 1) == gnomon_pair(base)
 
     def test_a_pair_is_its_scaled_triple(self):
         general = scale(PrimitiveTriple(15, 8, 17), 3)
         assert gnomon_pair is scale
         assert gnomon_pair(general.base, 3) == general
-        assert scaled_gnomon_pair(general) is general
         assert pair_progressions(general) == (general.odd_gnomon, general.even_gnomon)
 
     def test_scale_four(self):
-        pair = scaled_gnomon_pair(scale(PrimitiveTriple(3, 4, 5), 4))
+        pair = scale(PrimitiveTriple(3, 4, 5), 4)
         assert pair.odd_gnomon.thickness == 4
         assert pair.even_gnomon.thickness == 8
         assert pair.odd_gnomon.side_length == 20
         assert (pair.odd_gnomon.area, pair.even_gnomon.area) == (144, 256)
 
     def test_scale_three(self):
-        pair = scaled_gnomon_pair(scale(PrimitiveTriple(15, 8, 17), 3))
+        pair = scale(PrimitiveTriple(15, 8, 17), 3)
         assert pair.odd_gnomon.thickness == 27
         assert pair.even_gnomon.thickness == 6
         assert pair.odd_gnomon.side_length == 51
@@ -191,7 +197,7 @@ class TestScaledPairs:
         for row in stream(2, 100):
             plain = gnomon_pair(row.triple)
             for k in (2, 3, 7, 20):
-                scaled = scaled_gnomon_pair(scale(row.triple, k))
+                scaled = scale(row.triple, k)
                 assert scaled.odd_gnomon.thickness == k * plain.odd_gnomon.thickness
                 assert scaled.even_gnomon.thickness == k * plain.even_gnomon.thickness
                 assert scaled.odd_gnomon.side_length == k * row.triple.z
@@ -200,7 +206,7 @@ class TestScaledPairs:
 
     def test_scaled_progressions_still_overlap(self):
         for k in (2, 5):
-            pair = scaled_gnomon_pair(scale(PrimitiveTriple(5, 12, 13), k))
+            pair = scale(PrimitiveTriple(5, 12, 13), k)
             shared, longer, shorter = overlap_terms(pair)
             assert longer.last_term == shorter.last_term == 2 * 13 * k - 1
             assert list(shared) == list(longer.terms())[-shorter.thickness :]

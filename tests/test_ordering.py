@@ -7,6 +7,7 @@ import pytest
 
 from gnomon_triples import ordering, partitions
 from gnomon_triples.errors import SizeLimitError
+from gnomon_triples.gnomons import scale
 from gnomon_triples.oracle import brute_force_primitive
 from gnomon_triples.ordering import (
     TABLE_FORMATS,
@@ -18,7 +19,7 @@ from gnomon_triples.ordering import (
     stream,
 )
 from gnomon_triples.partitions import Partition
-from gnomon_triples.triples import PrimitiveTriple, construct, invert, scale
+from gnomon_triples.triples import PrimitiveTriple, construct, invert
 
 
 class TestStream:

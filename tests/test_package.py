@@ -36,7 +36,6 @@ EXPORTS = (
     "render_row",
     "render_table",
     "scale",
-    "scaled_gnomon_pair",
     "stream",
 )
 

@@ -13,14 +13,8 @@ from gnomon_triples.errors import (
     NotPrimitiveError,
 )
 from gnomon_triples.partitions import Partition, enumerate_partitions
-from gnomon_triples.triples import (
-    GeneralTriple,
-    PrimitiveTriple,
-    construct,
-    decompose_general,
-    invert,
-    scale,
-)
+from gnomon_triples.gnomons import GeneralTriple, scale
+from gnomon_triples.triples import PrimitiveTriple, construct, decompose_general, invert
 
 
 class TestConstruct:
@@ -61,6 +55,10 @@ class TestPrimitiveTripleValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PrimitiveTriple(-3, 4, 5)
+        # a zero is refused as not positive, not by a later check; (1, 0, 1) passes them all
+        for zeros in [(0, 1, 1), (1, 0, 1), (3, 4, 0)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                PrimitiveTriple(*zeros)
 
 
 class TestInvert:
@@ -87,6 +85,9 @@ class TestInvert:
             invert(3, 4, 6)
         with pytest.raises(NotATripleError):
             invert(1, 1, 1)
+        # legs of one parity are named smaller first, as the CLI's error line shows
+        with pytest.raises(NotATripleError, match=r"^3\^2 \+ 5\^2 != 7\^2$"):
+            invert(7, 5, 3)
 
     def test_nonpositive_is_rejected(self):
         with pytest.raises(ValueError):
