@@ -30,6 +30,9 @@ class Gnomon:
     side_length: int
 
     def __post_init__(self) -> None:
+        for name, value in (("thickness", self.thickness), ("side_length", self.side_length)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not 0 < self.thickness <= self.side_length:
             raise ValueError(
                 f"thickness must lie in 1..side_length, got {self.thickness}"

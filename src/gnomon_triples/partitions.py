@@ -12,11 +12,11 @@ min(sqrt(S/2), 2^16).  A single side has the primes up to 2^10 divided
 out, and the rest of the primes up to 2^16 only while its cofactor is past
 the exact bound below.  Both hand the cofactor left over to one finisher.
 A cofactor with no prime factor up to a bound b is prime when it is below
-(b + 1)^2; otherwise deterministic Miller-Rabin with the first 13 prime
-bases decides, which is exact below psi_13 = 3 317 044 064 679 887 385 961 981
-(Sorenson and Webster 2015, arXiv:1509.00864), and Brent's rho (BIT 20,
-1980) splits a composite.  A cofactor at or above psi_13 is refused with
-``SizeLimitError``: past it, primality is not proven.
+(b + 1)^2; otherwise deterministic Miller-Rabin decides, with the first k
+prime bases below psi_k of OEIS A014233 (Jaeschke 1993; Sorenson and Webster
+2015, arXiv:1509.00864, up to psi_13 = 3 317 044 064 679 887 385 961 981),
+and Brent's rho (BIT 20, 1980) splits a composite.  A cofactor at or above
+psi_13 is refused with ``SizeLimitError``: past it, primality is not proven.
 """
 
 from __future__ import annotations
@@ -34,9 +34,15 @@ from .errors import SizeLimitError
 BASE_PRIME_CAP = 2**16
 # The primes a single side always has divided out before the finisher.
 POINT_PRIME_CAP = 2**10
-# Half-sides per sieve segment: the per-segment lists stay small.
-SEGMENT_LENGTH = 256
+# Half-sides per sieve segment: each segment loops over every base prime up to the
+# bound, so a far window (1001 sides) pays for the 6542 primes up to 2^16 once.
+SEGMENT_LENGTH = 1024
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_1 .. psi_12 of OEIS A014233: below psi_k the first k prime bases are exact, and
+# below psi_1 = 2047 base 2 alone is, so n takes one base more than the psi_k <= n.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+       318665857834031151167461)
 PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
@@ -82,11 +88,11 @@ def _base_primes() -> array:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 prime bases; exact for 41 < n < PSI_13."""
+    """Miller-Rabin on the prime bases n's size needs (see PSI); exact for odd 2 < n < PSI_13."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in MILLER_RABIN_BASES:
+    for a in MILLER_RABIN_BASES[: bisect_right(PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -169,7 +175,8 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
     for start in range(first, last + 1, SEGMENT_LENGTH):
         halves = range(start, min(start + SEGMENT_LENGTH, last + 1))
         rests = [h >> ((h & -h).bit_length() - 1) for h in halves]
-        found: list[list[tuple[int, int]]] = [[] for _ in halves]
+        # tuples, not lists: a segment of 1024 lists keeps the garbage collector busy
+        found: list[tuple[tuple[int, int], ...]] = [()] * len(halves)
         for p in primes:
             for i in range(-start % p, len(halves), p):
                 n = rests[i] // p
@@ -178,11 +185,9 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
                     n //= p
                     exponent += 1
                 rests[i] = n
-                found[i].append((p, exponent))
+                found[i] += ((p, exponent),)
         for h, n, powers in zip(halves, rests, found):
-            if n > 1:
-                powers += _finish(n, bound)
-            yield 2 * h, tuple(powers)
+            yield 2 * h, (powers + tuple(_finish(n, bound)) if n > 1 else powers)
 
 
 def factor_side(side: int) -> tuple[tuple[int, int], ...]:

@@ -53,6 +53,9 @@ class TestPairOfGnomons:
             Gnomon(thickness=0, side_length=5)
         with pytest.raises(ValueError):
             Gnomon(thickness=6, side_length=5)
+        for thickness, side_length, kind in ((2.5, 5, "float"), (True, 5, "bool"), (3, 5.0, "float")):
+            with pytest.raises(TypeError, match=f"must be an int, got {kind}"):
+                Gnomon(thickness, side_length)
 
     def test_scale_below_one_is_rejected(self):
         for make in (gnomon_pair, GeneralTriple, scale):

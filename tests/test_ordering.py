@@ -1,5 +1,6 @@
 """Ordered streaming, index lookup, and the three table formats."""
 
+import hashlib
 import json
 import sys
 
@@ -219,6 +220,23 @@ class TestRenderLines:
             assert "".join(render_lines(from_s, to_s, fmt)) == expected
         finally:
             sys.set_int_max_str_digits(limit)
+
+    # SHA-256 of render_lines(S0, S0 + 400, "tsv"), recorded when every cofactor
+    # took all 13 Miller-Rabin bases and a segment held 256 half-sides.
+    @pytest.mark.parametrize(
+        "from_s, segment, digest",
+        [
+            (10**11, None, "747071e7624c43a047c1eaa600352ada9615a27794b1c5471edbba6e0c33d923"),
+            (10**12, None, "932888c3ffc226bf2449f66ac59b4903e40066047b5d0192f38df67299b1f197"),
+            (10**12, 7, "932888c3ffc226bf2449f66ac59b4903e40066047b5d0192f38df67299b1f197"),
+            (10**20, None, "c4db84ae4e2129ef3c0e5ca48ae19da5ae3be7092ea62d4f2f122166196a2ed0"),
+        ],
+    )
+    def test_far_windows_print_the_recorded_bytes(self, monkeypatch, from_s, segment, digest):
+        if segment is not None:
+            monkeypatch.setattr(partitions, "SEGMENT_LENGTH", segment)
+        text = "".join(render_lines(from_s, from_s + 400, "tsv"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_format_is_rejected_before_any_side_is_factored(self, monkeypatch):
         def no_sieve(from_s, to_s):

@@ -22,6 +22,11 @@ from gnomon_triples.partitions import (
 )
 
 
+# The distinct psi_k of OEIS A014233 for k = 1 .. 12 (psi_7 = psi_8, psi_9 = psi_10 = psi_11).
+DISTINCT_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
 def brute_force_splits(side: int) -> list[tuple[int, int]]:
     """Independent oracle: scan every (t, l) with 2tl = S, l odd, coprime."""
     found = []
@@ -59,6 +64,8 @@ class TestFactorSide:
 
     def test_prime_power_collapses_to_one_entry(self):
         assert factor_side(48) == ((3, 1),)
+        # 1031 is the first prime a point does not always divide out
+        assert factor_side(2 * 1031**2) == ((1031, 2),)
 
     def test_profile_reconstructs_the_side(self):
         for side in range(2, 5000, 2):
@@ -127,14 +134,17 @@ class TestPartitionValidation:
     def test_rejects_mismatched_side(self):
         with pytest.raises(ValueError):
             Partition(t=1, l=1, side=4)
+        with pytest.raises(TypeError, match="side must be an int"):
+            Partition(t=1, l=1, side=2.0)
 
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
             Partition(t=3, l=3, side=18)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Partition(t=0, l=1, side=2)
+        for t, l in ((0, 1), (1, 0), (-1, -1)):  # -1 * -1 passes every other check
+            with pytest.raises(ValueError, match="must be positive"):
+                Partition(t=t, l=l, side=2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,7 +247,7 @@ class TestFactoringLayer:
         from_s, to_s = 2 * max(1, square + first), 2 * (square + last)
         expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
         assert sieved(from_s, to_s) == expected
-        assert sieved(from_s, to_s, segment=256) == expected
+        assert list(factor_window(from_s, to_s)) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 15).flatmap(lambda e: st.integers(1, 10**e)), st.integers(0, 30))
@@ -267,6 +277,24 @@ class TestFactoringLayer:
         assert factor_side(2 * n) == powers
         assert sieved(2 * n, 2 * n) == [(2 * n, powers)]
 
+    # The odd n from 3 up to PSI_13, in bands split at each distinct psi_k.
+    @pytest.mark.parametrize("low, high", list(zip((3, *DISTINCT_PSI), (*DISTINCT_PSI, PSI_13))))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_graded_bases_agree_with_sympy_in_every_band(self, low, high, data):
+        n = 2 * data.draw(st.integers(low // 2, high // 2 - 1)) + 1
+        assert partitions._is_prime(n) == sympy.isprime(n)
+
+    def test_primes_below_each_psi_are_prime(self):
+        # each psi_k is proven for the first k primes as bases, and for no other bases
+        assert partitions.MILLER_RABIN_BASES == tuple(sympy.primerange(2, 42))
+        for psi in DISTINCT_PSI:
+            assert partitions._is_prime(sympy.prevprime(psi))
+        # the small primes too, where a base at or above n would call n composite
+        assert [n for n in range(3, 4100, 2) if partitions._is_prime(n)] == list(
+            sympy.primerange(3, 4100)
+        )
+
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
         assert factor_side(2 * p * q) == ((p, 1), (q, 1))
@@ -280,14 +308,16 @@ class TestFactoringLayer:
         "n", [PSI_13, sympy.nextprime(PSI_13), 65537 * sympy.nextprime(PSI_13 // 65537)]
     )
     def test_cofactor_at_or_past_the_bound_is_a_size_limit(self, n):
-        with pytest.raises(SizeLimitError):
+        message = f"factor {n} is left after removing the primes up to 65536; "
+        with pytest.raises(SizeLimitError, match=message):
             factor_side(2 * n)
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match=message):
             sieved(2 * n, 2 * n)
 
     def test_small_primes_past_the_bound_are_still_removed(self):
-        # 1031^9 is past the bound, and 1031 is past the primes a point
-        # always divides out; both ways in remove every prime up to 2^16.
-        side = 2 * 1031**9
-        assert factor_side(side) == ((1031, 9),)
-        assert sieved(side, side) == [(side, ((1031, 9),))]
+        # 1031^9 and 65521^6 are past the bound, and 1031 is past the primes a
+        # point always divides out; both ways in remove every prime up to 2^16.
+        for prime, exponent in ((1031, 9), (65521, 6)):
+            side = 2 * prime**exponent
+            assert factor_side(side) == ((prime, exponent),)
+            assert sieved(side, side) == [(side, ((prime, exponent),))]
