@@ -1,8 +1,16 @@
-"""Domain errors raised by the library, and its internal invariant check.
+"""Domain errors raised by the library, its internal invariant check, and its integer check.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
-with ``error: <code>:`` so callers can match on it.
+with ``error: <code>:`` so callers can match on it.  Every integer the
+public boundary takes passes ``ensure_int`` once, where it is taken.
 """
+
+
+def ensure_int(name: str, value: int) -> int:
+    """Return value if it is an int and not a bool; raise TypeError naming it otherwise."""
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
 
 
 def require(condition: bool, context: object) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import require
+from .errors import ensure_int
 from .triples import PrimitiveTriple
 
 
@@ -31,8 +31,7 @@ class Gnomon:
 
     def __post_init__(self) -> None:
         for name, value in (("thickness", self.thickness), ("side_length", self.side_length)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+            ensure_int(name, value)
         if not 0 < self.thickness <= self.side_length:
             raise ValueError(
                 f"thickness must lie in 1..side_length, got {self.thickness}"
@@ -71,9 +70,7 @@ class GeneralTriple:
     def __post_init__(self) -> None:
         if not isinstance(self.base, PrimitiveTriple):
             raise TypeError(f"triple must be a PrimitiveTriple, got {type(self.base).__name__}")
-        if not isinstance(self.scale, int) or isinstance(self.scale, bool):
-            raise TypeError(f"scale must be an int, got {type(self.scale).__name__}")
-        if self.scale < 1:
+        if ensure_int("scale", self.scale) < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
 
     @property
@@ -120,7 +117,5 @@ def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:
     (shared terms as a range, longer gnomon, shorter gnomon).
     """
     odd, even = pair_progressions(pair)
-    # Equal thicknesses would need l^2 = 2t^2, impossible for coprime t, l.
-    require(odd.thickness != even.thickness, pair)
     longer, shorter = (odd, even) if odd.thickness > even.thickness else (even, odd)
     return shorter.terms(), longer, shorter

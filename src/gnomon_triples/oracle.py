@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
+from .errors import ensure_int
 from .triples import PrimitiveTriple
 
 
 def _check_z_max(z_max: int) -> None:
-    if z_max < 5:
+    if ensure_int("z_max", z_max) < 5:
         raise ValueError(f"z_max must be at least 5, got {z_max}")
 
 

@@ -29,7 +29,7 @@ from itertools import compress, count
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, ensure_int
 
 BASE_PRIME_CAP = 2**16
 # The primes a single side always has divided out before the finisher.
@@ -48,9 +48,7 @@ PSI_13 = 3_317_044_064_679_887_385_961_981
 
 def ensure_side(value: int) -> int:
     """Validate a generating-square side: a positive even integer."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"side must be an int, got {type(value).__name__}")
-    if value < 2 or value % 2 != 0:
+    if ensure_int("side", value) < 2 or value % 2 != 0:
         raise ValueError(f"side must be a positive even integer, got {value}")
     return value
 
@@ -65,7 +63,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         ensure_side(self.side)
-        if self.t < 1 or self.l < 1:
+        if ensure_int("t", self.t) < 1 or ensure_int("l", self.l) < 1:
             raise ValueError(f"t and l must be positive, got t={self.t}, l={self.l}")
         if self.l % 2 == 0:
             raise ValueError(f"l must be odd, got l={self.l}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError
+from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure_int
 from .partitions import Partition
 
 
@@ -32,7 +32,7 @@ class PrimitiveTriple:
 
     def __post_init__(self) -> None:
         x, y, z = self.x, self.y, self.z
-        if x < 1 or y < 1 or z < 1:
+        if ensure_int("x", x) < 1 or ensure_int("y", y) < 1 or ensure_int("z", z) < 1:
             raise ValueError(f"triple elements must be positive: {self}")
         if x * x + y * y != z * z:
             raise NotATripleError(f"{x}^2 + {y}^2 != {z}^2")
@@ -84,7 +84,7 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     inverts the reduced primitive triple.
     """
     for value in (a, b, c):
-        if value < 1:
+        if ensure_int("triple element", value) < 1:
             raise ValueError(f"triple elements must be positive, got {value}")
     k = gcd(gcd(a, b), c)
     return k, invert(a // k, b // k, c // k)

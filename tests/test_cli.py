@@ -206,6 +206,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--z-max", "100")
         assert code == 0
         assert out == "enumerator: 16\nbrute_force: 16\neuclid: 16\nPASS\n"
+        code, out, _ = run_cli(capsys, "verify", "--z-max", "5")  # a bound that is a hypotenuse
+        assert (code, out) == (0, "enumerator: 1\nbrute_force: 1\neuclid: 1\nPASS\n")
 
     def test_default_bound_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
@@ -224,6 +226,7 @@ class TestVerify:
     def test_both_ends_of_the_bound_are_accepted(self):
         assert cli._z_max("5") == 5
         assert cli._z_max(str(Z_MAX_CAP)) == Z_MAX_CAP
+        assert cli._z_max("30000") == Z_MAX_CAP  # the bound the README documents
 
     def test_a_repeated_row_fails(self, capsys, monkeypatch):
         # Side 2's one row, (3, 4, 5), comes once more ahead of the real stream.
@@ -277,6 +280,8 @@ class TestDiagram:
         svg = out_path.read_text(encoding="utf-8")
         assert svg.count('<g class="cell"') == 16
         ET.fromstring(svg)
+        run_cli(capsys, "diagram", "--kind", "lattice", "--triple", "3,4,5", "--out", str(out_path))
+        assert out_path.read_text(encoding="utf-8").count('<g class="cell"') == 1  # --k defaults to 1
 
     def test_canonicalizes_leg_order(self, capsys, tmp_path):
         out_path = tmp_path / "even.svg"
@@ -425,14 +430,15 @@ class TestUsage:
         assert "is not an integer" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "gnomon_triples", "invert", "3", "4", "5"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0
-        assert result.stdout == "S=2 t=1 l=1\n"
+        for module in ("gnomon_triples", "gnomon_triples.cli"):
+            result = subprocess.run(
+                [sys.executable, "-m", module, "invert", "3", "4", "5"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert result.returncode == 0
+            assert result.stdout == "S=2 t=1 l=1\n"
 
     def test_closed_stdout_exits_one_without_a_traceback(self):
         # Far more output than a pipe buffers, so writes meet the closed pipe.

@@ -205,6 +205,10 @@ class TestRendering:
             render(DiagramSpec("lattice_regrouped", T345, scale_k=2.5))
         with pytest.raises(TypeError, match="bool"):
             DiagramSpec("lattice", T345, scale_k=True)
+        # unit_px must be a number, and a bool is not one
+        for unit_px in (True, "10"):
+            with pytest.raises(TypeError, match="unit_px must be a number"):
+                DiagramSpec("lattice", T345, unit_px=unit_px)
 
     def test_trailing_newline_and_no_float_noise(self):
         svg = render(DiagramSpec("square_gnomon_even", T345, unit_px=2.5))

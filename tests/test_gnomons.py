@@ -56,6 +56,7 @@ class TestPairOfGnomons:
         for thickness, side_length, kind in ((2.5, 5, "float"), (True, 5, "bool"), (3, 5.0, "float")):
             with pytest.raises(TypeError, match=f"must be an int, got {kind}"):
                 Gnomon(thickness, side_length)
+        assert Gnomon(type("Int", (int,), {})(2), 5).area == 16  # an int subclass is an int
 
     def test_scale_below_one_is_rejected(self):
         for make in (gnomon_pair, GeneralTriple, scale):

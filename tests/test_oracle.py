@@ -51,6 +51,9 @@ def test_oracles_agree():
 def test_bound_must_cover_a_triple(oracle):
     with pytest.raises(ValueError):
         oracle(4)
+    for z_max in (10.5, True):
+        with pytest.raises(TypeError, match="z_max must be an int"):
+            oracle(z_max)
 
 
 def test_split_to_euclid_pair_correspondence():

@@ -145,6 +145,9 @@ class TestPartitionValidation:
         for t, l in ((0, 1), (1, 0), (-1, -1)):  # -1 * -1 passes every other check
             with pytest.raises(ValueError, match="must be positive"):
                 Partition(t=t, l=l, side=2)
+        for t, l, name in ((True, 1, "t"), (1, True, "l"), (1.0, 1, "t")):  # 2*t*l == 2 for all
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                Partition(t=t, l=l, side=2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gnomon_triples import triples
 from gnomon_triples.errors import (
+    DomainError,
     MalformedTripleError,
     NotATripleError,
     NotPrimitiveError,
@@ -59,6 +60,9 @@ class TestPrimitiveTripleValidation:
         for zeros in [(0, 1, 1), (1, 0, 1), (3, 4, 0)]:
             with pytest.raises(ValueError, match="must be positive"):
                 PrimitiveTriple(*zeros)
+        for legs, name in (((3, 4, 5.0), "z"), ((3.0, 4, 5), "x")):
+            with pytest.raises(TypeError, match=f"{name} must be an int"):
+                PrimitiveTriple(*legs)
 
 
 class TestInvert:
@@ -92,6 +96,8 @@ class TestInvert:
     def test_nonpositive_is_rejected(self):
         with pytest.raises(ValueError):
             invert(0, 4, 5)
+        with pytest.raises(TypeError, match="z must be an int"):
+            invert(5.0, 4, 3)
 
     def test_invalid_split_is_malformed(self, monkeypatch):
         # The Partition constructor is invert's one post-condition; l = 2 is even.
@@ -103,6 +109,7 @@ class TestInvert:
         assert NotATripleError.code == "not-a-triple"
         assert NotPrimitiveError.code == "not-primitive"
         assert MalformedTripleError.code == "malformed"
+        assert DomainError.code == "domain-error"  # the code of a subclass that sets none
 
 
 class TestRoundTrip:
@@ -133,6 +140,8 @@ class TestDecomposeGeneral:
         # Without the positivity check, k = gcd(0, 0, 0) = 0 divides by zero.
         with pytest.raises(ValueError):
             decompose_general(0, 0, 0)
+        with pytest.raises(TypeError, match="triple element must be an int"):
+            decompose_general(6.0, 8, 10)
 
     def test_round_trip_with_scale(self):
         for side in range(2, 200, 2):
