@@ -23,7 +23,7 @@ from .gnomons import gnomon_pair, overlap_terms, pair_progressions
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_lines, stream
 from .partitions import BASE_PRIME_CAP, PSI_13
-from .triples import construct, decompose_general, invert
+from .triples import decompose_general, from_legs, invert
 
 # verify's brute-force oracle is O(z^2): about 31 s at this --z-max, inside 60 s.
 Z_MAX_CAP = 30_000
@@ -99,7 +99,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_gnomon(args) -> int:
-    pair = gnomon_pair(construct(invert(*args.triple)), args.k)
+    pair = gnomon_pair(from_legs(*args.triple), args.k)
     odd, even = pair_progressions(pair)
     _print_pair(odd, even)
     _, _, shared = overlap_terms(pair)
@@ -116,7 +116,7 @@ def cmd_gnomon(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    pair = gnomon_pair(construct(invert(*args.triple)), args.k)
+    pair = gnomon_pair(from_legs(*args.triple), args.k)
     print(f"k={pair.scale} x={pair.x} y={pair.y} z={pair.z}")
     _print_pair(pair.odd_gnomon, pair.even_gnomon)
     return 0
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    base = construct(invert(*args.triple))
+    base = from_legs(*args.triple)
     spec = DiagramSpec(kind=args.kind, triple=base, scale_k=args.k, unit_px=args.unit)
     svg = render(spec)
     try:

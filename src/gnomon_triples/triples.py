@@ -6,7 +6,7 @@ Forward construction from a split of the side S = 2tl:
     x = S + l^2         (odd leg)
     z = S + 2t^2 + l^2  (hypotenuse, equal to x + y - S)
 
-The inverse reads the split straight off a primitive triple:
+The inverse orders the legs with from_legs, then reads the split off the triple:
 z - y is the perfect square l^2, then x - l^2 = S and t = S / (2l).
 """
 
@@ -61,16 +61,21 @@ def construct(partition: Partition) -> PrimitiveTriple:
     return PrimitiveTriple(s + l * l, s + 2 * t * t, s + 2 * t * t + l * l)
 
 
+def from_legs(a: int, b: int, c: int) -> PrimitiveTriple:
+    """The primitive triple whose legs are given in any order: odd leg, even leg, z."""
+    first, second, z = sorted((a, b, c))
+    if first % 2 < second % 2:
+        first, second = second, first
+    return PrimitiveTriple(first, second, z)
+
+
 def invert(a: int, b: int, c: int) -> Partition:
     """Recover the (S, t, l) split of a primitive triple given in any leg order.
 
     Strict: a triple with a common factor raises NotPrimitiveError; use
     decompose_general for those.
     """
-    first, second, z = sorted((a, b, c))
-    if first % 2 < second % 2:
-        first, second = second, first
-    s, t, l = split_of(*PrimitiveTriple(first, second, z).values())
+    s, t, l = split_of(*from_legs(a, b, c).values())
     try:
         return Partition(t=t, l=l, side=s)
     except ValueError as exc:

@@ -158,8 +158,9 @@ class TestEnumerate:
 
 
 class TestGnomon:
-    def test_smallest_triple(self, capsys):
-        code, out, _ = run_cli(capsys, "gnomon", "3", "4", "5")
+    @pytest.mark.parametrize("legs", [("3", "4", "5"), ("5", "4", "3")])
+    def test_smallest_triple(self, capsys, legs):
+        code, out, _ = run_cli(capsys, "gnomon", *legs)
         assert code == 0
         assert out == (
             "T1=1 T2=2 L=5\n"
@@ -183,15 +184,44 @@ class TestGnomon:
         assert code == 0
         assert out.endswith(" count=99999999999999999999 last=999999999999999999989\n")
 
-    def test_rejects_non_primitive(self, capsys):
-        code, _, err = run_cli(capsys, "gnomon", "6", "8", "10")
-        assert code == 1
-        assert err.startswith("error: not-primitive:")
+    @pytest.mark.parametrize("legs, err_start", [
+        (("6", "8", "10"), "error: not-primitive:"),
+        (("3", "4", "6"), "error: not-a-triple: 3^2 + 4^2 != 6^2"),
+    ])
+    @pytest.mark.parametrize("command", ["gnomon", "scale", "diagram"])
+    def test_rejects_non_primitive(self, capsys, tmp_path, command, legs, err_start):
+        argv = {
+            "gnomon": ["gnomon", *legs],
+            "scale": ["scale", *legs, "2"],
+            "diagram": ["diagram", "--kind", "lattice", "--triple", ",".join(legs),
+                        "--out", str(tmp_path / "x.svg")],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(err_start)
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gnomon", "5", "4", "3", "--k", "2"],
+        ["scale", "17", "8", "15", "3"],
+        ["diagram", "--kind", "connected", "--triple", "5,4,3", "--out", "x.svg"],
+    ])
+    def test_builds_its_triple_with_one_check(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        checks = {PrimitiveTriple: 0, Partition: 0}
+        for cls in checks:
+            def counted(self, cls=cls, check=cls.__post_init__):
+                checks[cls] += 1
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert checks == {PrimitiveTriple: 1, Partition: 0}
 
 
 class TestScale:
-    def test_scale_by_three(self, capsys):
-        code, out, _ = run_cli(capsys, "scale", "15", "8", "17", "3")
+    @pytest.mark.parametrize("legs", [("15", "8", "17"), ("17", "8", "15")])
+    def test_scale_by_three(self, capsys, legs):
+        code, out, _ = run_cli(capsys, "scale", *legs, "3")
         assert code == 0
         assert out == "k=3 x=45 y=24 z=51\nT1=27 T2=6 L=51\n"
 

@@ -1,5 +1,6 @@
 """Forward construction, inversion, general-triple decomposition, scaling."""
 
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -15,7 +16,7 @@ from gnomon_triples.errors import (
 )
 from gnomon_triples.partitions import Partition, enumerate_partitions
 from gnomon_triples.gnomons import GeneralTriple, scale
-from gnomon_triples.triples import PrimitiveTriple, construct, decompose_general, invert
+from gnomon_triples.triples import PrimitiveTriple, construct, decompose_general, from_legs, invert
 
 
 class TestConstruct:
@@ -186,6 +187,7 @@ def test_round_trip_on_random_splits(split):
     triple = construct(p)
     assert triple.x * triple.x + triple.y * triple.y == triple.z * triple.z
     assert invert(triple.x, triple.y, triple.z) == p
+    assert {from_legs(*legs) for legs in permutations(triple.values())} == {triple}
 
 
 @settings(max_examples=100, deadline=None)
