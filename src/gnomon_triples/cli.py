@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
-from .gnomons import gnomon_pair, overlap_terms, pair_progressions
+from .gnomons import overlap_terms, scale
 from .oracle import brute_force_primitive, euclid_parametrization
 from .ordering import render_lines, stream
 from .partitions import BASE_PRIME_CAP, PSI_13
@@ -77,8 +77,8 @@ def _add_legs(p: argparse.ArgumentParser) -> None:
         p.add_argument("triple", type=_positive_int, action="append", metavar=metavar)
 
 
-def _print_pair(odd, even) -> None:
-    print(f"T1={odd.thickness} T2={even.thickness} L={odd.side_length}")
+def _print_pair(pair) -> None:
+    print(f"T1={pair.odd_gnomon.thickness} T2={pair.even_gnomon.thickness} L={pair.z}")
 
 
 def cmd_enumerate(args) -> int:
@@ -99,11 +99,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_gnomon(args) -> int:
-    pair = gnomon_pair(from_legs(*args.triple), args.k)
-    odd, even = pair_progressions(pair)
-    _print_pair(odd, even)
+    pair = scale(from_legs(*args.triple), args.k)
+    _print_pair(pair)
     _, _, shared = overlap_terms(pair)
-    for name, gnomon in (("progression_x2", odd), ("progression_y2", even)):
+    for name, gnomon in (("progression_x2", pair.odd_gnomon), ("progression_y2", pair.even_gnomon)):
         print(
             f"{name}: first={gnomon.first_term} count={gnomon.thickness} "
             f"last={gnomon.last_term} sum={gnomon.area}"
@@ -116,9 +115,9 @@ def cmd_gnomon(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    pair = gnomon_pair(from_legs(*args.triple), args.k)
+    pair = scale(from_legs(*args.triple), args.k)
     print(f"k={pair.scale} x={pair.x} y={pair.y} z={pair.z}")
-    _print_pair(pair.odd_gnomon, pair.even_gnomon)
+    _print_pair(pair)
     return 0
 
 

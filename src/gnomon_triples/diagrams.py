@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import SizeLimitError, require
+from .errors import SizeLimitError, ensure, require
 from .gnomons import scale
 from .triples import PrimitiveTriple
 
@@ -121,7 +121,7 @@ def _px(value: float) -> str:
 
 def render(spec: DiagramSpec) -> str:
     """Render a spec to SVG text (SVG 1.1, one trailing newline)."""
-    k = spec.scale_k
+    k = ensure("spec", spec, DiagramSpec).scale_k
     if spec.kind == "lattice" and k * k > MAX_LATTICE_CELLS:
         raise SizeLimitError(f"a {k}x{k} lattice exceeds the limit of {MAX_LATTICE_CELLS} cells")
     frame_units, rects, cell = _build(spec)
@@ -146,8 +146,7 @@ def render(spec: DiagramSpec) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f"<title>{spec.kind} for ({spec.triple.x}, {spec.triple.y}, "
-        f"{spec.triple.z}), k={spec.scale_k}</title>",
+        f"<title>{spec.kind} for {spec.triple.values()}, k={k}</title>",
         f"<defs><style>{_STYLE}</style></defs>",
     ]
     lines += [rect_tag(r) for r in rects]

@@ -1,15 +1,16 @@
-"""Domain errors raised by the library, its internal invariant check, and its integer check.
+"""Domain errors raised by the library, its internal invariant check, and its type check.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
-with ``error: <code>:`` so callers can match on it.  Every integer the
-public boundary takes passes ``ensure_int`` once, where it is taken.
+with ``error: <code>:`` so callers can match on it.  Every int and record
+the public boundary takes passes ``ensure`` once, where it is taken.
 """
 
 
-def ensure_int(name: str, value: int) -> int:
-    """Return value if it is an int and not a bool; raise TypeError naming it otherwise."""
-    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+def ensure(name: str, value, kind: type):
+    """Return value if it is a kind, where a bool is no int; else raise TypeError naming it."""
+    if type(value) is not kind and (not isinstance(value, kind) or isinstance(value, bool)):
+        article = "an" if kind is int else "a"
+        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -12,9 +12,8 @@ suffix of the longer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .errors import ensure_int
+from .errors import ensure
 from .triples import PrimitiveTriple
 
 
@@ -31,7 +30,7 @@ class Gnomon:
 
     def __post_init__(self) -> None:
         for name, value in (("thickness", self.thickness), ("side_length", self.side_length)):
-            ensure_int(name, value)
+            ensure(name, value, int)
         if not 0 < self.thickness <= self.side_length:
             raise ValueError(
                 f"thickness must lie in 1..side_length, got {self.thickness}"
@@ -68,9 +67,8 @@ class GeneralTriple:
     scale: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, PrimitiveTriple):
-            raise TypeError(f"triple must be a PrimitiveTriple, got {type(self.base).__name__}")
-        if ensure_int("scale", self.scale) < 1:
+        ensure("triple", self.base, PrimitiveTriple)
+        if ensure("scale", self.scale, int) < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
 
     @property
@@ -102,11 +100,13 @@ def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
     return GeneralTriple(base=triple, scale=k)
 
 
-# Both gnomons of a triple scaled by k (default 1), inside its kz-by-kz square.
+# scale under its older name, kept because perfbench/ calls and wraps it.
 gnomon_pair = scale
 
-# The (odd-area, even-area) gnomons of a pair, each its own progression.
-pair_progressions = attrgetter("odd_gnomon", "even_gnomon")
+
+# (pair.odd_gnomon, pair.even_gnomon), kept because perfbench/ calls and wraps it.
+def pair_progressions(pair: GeneralTriple) -> tuple[Gnomon, Gnomon]:
+    return ensure("pair", pair, GeneralTriple).odd_gnomon, pair.even_gnomon
 
 
 def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:

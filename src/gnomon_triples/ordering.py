@@ -10,6 +10,7 @@ from __future__ import annotations
 from types import MethodType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .errors import ensure
 from .partitions import Partition, factor_side, factor_window, odd_parts
 from .triples import PrimitiveTriple, split_of
 
@@ -76,9 +77,7 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
     t and l are coprime, so the side's odd prime powers are theirs, each
     factored on its own.  Anything but a PrimitiveTriple raises TypeError.
     """
-    if not isinstance(triple, PrimitiveTriple):
-        raise TypeError(f"index_of takes a PrimitiveTriple, got {type(triple).__name__}")
-    x, y, z = triple.values()
+    x, y, z = ensure("triple", triple, PrimitiveTriple).values()
     s, t, l = split_of(x, y, z)
     odd_powers = factor_side(2 * t) + factor_side(2 * l)
     return TableRow(s // 2, 1 + odd_parts(odd_powers).index(l), s, t, l, x, y, z)
@@ -91,15 +90,16 @@ def _templates(fmt: str) -> tuple[str, str]:
     return ROW_TEMPLATES[fmt]
 
 
+# render_row and render_table are kept because perfbench/ wraps them.
 def render_row(row: TableRow, fmt: str) -> str:
     """One output line for a row, without the trailing newline."""
-    return (_templates(fmt)[row.n2 > 1] % row)[:-1]
+    return (_templates(fmt)[ensure("row", row, TableRow).n2 > 1] % row)[:-1]
 
 
 def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
     """Render rows as text; empty input renders as empty output."""
     templates = _templates(fmt)
-    return "".join(templates[r.n2 > 1] % r for r in rows)
+    return "".join(templates[ensure("row", r, TableRow).n2 > 1] % r for r in rows)
 
 
 def render_lines(from_s: int, to_s: int, fmt: str) -> Iterator[str]:

@@ -25,11 +25,11 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
-from .errors import SizeLimitError, ensure_int
+from .errors import SizeLimitError, ensure, require
 
 BASE_PRIME_CAP = 2**16
 # The primes a single side always has divided out before the finisher.
@@ -48,7 +48,7 @@ PSI_13 = 3_317_044_064_679_887_385_961_981
 
 def ensure_side(value: int) -> int:
     """Validate a generating-square side: a positive even integer."""
-    if ensure_int("side", value) < 2 or value % 2 != 0:
+    if ensure("side", value, int) < 2 or value % 2 != 0:
         raise ValueError(f"side must be a positive even integer, got {value}")
     return value
 
@@ -63,7 +63,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         ensure_side(self.side)
-        if ensure_int("t", self.t) < 1 or ensure_int("l", self.l) < 1:
+        if ensure("t", self.t, int) < 1 or ensure("l", self.l, int) < 1:
             raise ValueError(f"t and l must be positive, got t={self.t}, l={self.l}")
         if self.l % 2 == 0:
             raise ValueError(f"l must be odd, got l={self.l}")
@@ -106,11 +106,11 @@ def _is_prime(n: int) -> bool:
 def _rho(n: int) -> int:
     """A proper factor of the odd composite n, by Brent's rho.
 
-    The maps y -> y^2 + c are tried for c = 1, 2, 3, ... from y = 2, so a
-    run is reproducible.
+    The maps y -> y^2 + c are tried from y = 2 for c = 1 .. 16, so a run is
+    reproducible; no composite measured needed c > 3, and a prime fails require.
     """
     batch = 128
-    for c in count(1):
+    for c in range(1, 17):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
@@ -132,6 +132,7 @@ def _rho(n: int) -> int:
                 g = gcd(x - saved, n)
         if g != n:
             return g
+    require(False, n)
 
 
 def _finish(cofactor: int, bound: int) -> list[tuple[int, int]]:

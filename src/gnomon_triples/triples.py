@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure_int
+from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure
 from .partitions import Partition
 
 
@@ -32,7 +32,7 @@ class PrimitiveTriple:
 
     def __post_init__(self) -> None:
         x, y, z = self.x, self.y, self.z
-        if ensure_int("x", x) < 1 or ensure_int("y", y) < 1 or ensure_int("z", z) < 1:
+        if ensure("x", x, int) < 1 or ensure("y", y, int) < 1 or ensure("z", z, int) < 1:
             raise ValueError(f"triple elements must be positive: {self}")
         if x * x + y * y != z * z:
             raise NotATripleError(f"{x}^2 + {y}^2 != {z}^2")
@@ -57,7 +57,7 @@ def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
 
 def construct(partition: Partition) -> PrimitiveTriple:
     """Build the primitive triple generated by a (t, l) split of S."""
-    s, t, l = partition.side, partition.t, partition.l
+    s, t, l = ensure("partition", partition, Partition).side, partition.t, partition.l
     return PrimitiveTriple(s + l * l, s + 2 * t * t, s + 2 * t * t + l * l)
 
 
@@ -89,7 +89,7 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     inverts the reduced primitive triple.
     """
     for value in (a, b, c):
-        if ensure_int("triple element", value) < 1:
+        if ensure("triple element", value, int) < 1:
             raise ValueError(f"triple elements must be positive, got {value}")
     k = gcd(gcd(a, b), c)
     return k, invert(a // k, b // k, c // k)

@@ -134,7 +134,7 @@ class TestIndexOf:
     )
     def test_takes_only_a_primitive_triple(self, value):
         # A scaled triple also has .values(); (6, 8, 10) would read as the odd side 5.
-        with pytest.raises(TypeError, match="PrimitiveTriple"):
+        with pytest.raises(TypeError, match="^triple must be a PrimitiveTriple, got "):
             index_of(value)
 
     def test_prime_t_and_l_need_no_rho(self, monkeypatch):

@@ -298,6 +298,13 @@ class TestFactoringLayer:
             sympy.primerange(3, 4100)
         )
 
+    def test_rho_ends_on_a_prime_and_splits_a_composite_that_needs_three_maps(self):
+        # _rho is only handed what _is_prime calls composite; a prime, from a fault
+        # there, fails every map and ends in an AssertionError naming it, not a hang.
+        with pytest.raises(AssertionError, match="^1000003$"):
+            partitions._rho(1_000_003)
+        assert partitions._rho(2963 * 2791) in (2963, 2791)  # c = 1 and c = 2 fail on it
+
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
         assert factor_side(2 * p * q) == ((p, 1), (q, 1))
