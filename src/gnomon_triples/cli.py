@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain errors (``error: <code>: ...`` on stderr) or
-a failed stdout write (``error: <strerror>: <stdout>``, silent on a closed
-pipe), 2 usage errors (an unwritable ``diagram --out`` path included).
+Exit codes: 0 success, 1 domain errors (``error: <code>: ...`` on stderr), a
+failed internal invariant (``error: internal: <context>``) or a failed stdout
+write (``error: <strerror>: <stdout>``, silent on a closed pipe), 2 usage errors
+(an unwritable ``diagram --out`` path included).
 Data goes to stdout, diagnostics to stderr; only ``diagram --out`` writes a file.
 Run as a program, stdout is its own buffered stream on fd 1 (line-buffered on a
 terminal) whatever ``PYTHONUNBUFFERED`` says, so a non-blocking stdout that fills
@@ -227,9 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, AssertionError) as exc:  # an AssertionError is a failed invariant
         sys.stdout.flush()  # the rows before the error come out before it
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        print(f"error: {getattr(exc, 'code', 'internal')}: {exc}", file=sys.stderr)
         return 1
     finally:
         sys.set_int_max_str_digits(digit_limit)

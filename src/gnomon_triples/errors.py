@@ -1,16 +1,19 @@
-"""Domain errors raised by the library, its internal invariant check, and its type check.
+"""Domain errors raised by the library, its internal invariant check, and its argument check.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
 with ``error: <code>:`` so callers can match on it.  Every int and record
-the public boundary takes passes ``ensure`` once, where it is taken.
+the public boundary takes passes ``ensure`` once, where it is taken, which
+decides its type and, for an int with a least value, its size.
 """
 
 
-def ensure(name: str, value, kind: type):
-    """Return value if it is a kind, where a bool is no int; else raise TypeError naming it."""
+def ensure(name: str, value, kind: type, least: int | None = None):
+    """Return value if it is a kind (a bool is no int) not below least; else raise naming it."""
     if type(value) is not kind and (not isinstance(value, kind) or isinstance(value, bool)):
         article = "an" if kind is int else "a"
         raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
 
 

@@ -29,13 +29,10 @@ class Gnomon:
     side_length: int
 
     def __post_init__(self) -> None:
-        for name, value in (("thickness", self.thickness), ("side_length", self.side_length)):
-            ensure(name, value, int)
-        if not 0 < self.thickness <= self.side_length:
-            raise ValueError(
-                f"thickness must lie in 1..side_length, got {self.thickness}"
-                f" for side {self.side_length}"
-            )
+        thickness = ensure("thickness", self.thickness, int, 1)
+        side_length = ensure("side_length", self.side_length, int, 1)
+        if thickness > side_length:
+            raise ValueError(f"thickness {thickness} exceeds side_length {side_length}")
 
     @property
     def area(self) -> int:
@@ -68,8 +65,7 @@ class GeneralTriple:
 
     def __post_init__(self) -> None:
         ensure("triple", self.base, PrimitiveTriple)
-        if ensure("scale", self.scale, int) < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
+        ensure("scale", self.scale, int, 1)
 
     @property
     def x(self) -> int:

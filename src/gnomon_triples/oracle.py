@@ -13,14 +13,9 @@ from .errors import ensure
 from .triples import PrimitiveTriple
 
 
-def _check_z_max(z_max: int) -> None:
-    if ensure("z_max", z_max, int) < 5:
-        raise ValueError(f"z_max must be at least 5, got {z_max}")
-
-
 def brute_force_primitive(z_max: int) -> set[PrimitiveTriple]:
     """All primitive triples with hypotenuse <= z_max, by direct leg search."""
-    _check_z_max(z_max)
+    ensure("z_max", z_max, int, 5)
     found = set()
     z_max_sq = z_max * z_max
     for y in range(4, z_max, 2):
@@ -40,7 +35,7 @@ def euclid_parametrization(z_max: int) -> set[PrimitiveTriple]:
 
     m > n >= 1 of opposite parity give x = m^2 - n^2, y = 2mn, z = m^2 + n^2.
     """
-    _check_z_max(z_max)
+    ensure("z_max", z_max, int, 5)
     found = set()
     m = 2
     while m * m + 1 <= z_max:

@@ -62,17 +62,14 @@ class Partition:
     side: int
 
     def __post_init__(self) -> None:
-        ensure_side(self.side)
-        if ensure("t", self.t, int) < 1 or ensure("l", self.l, int) < 1:
-            raise ValueError(f"t and l must be positive, got t={self.t}, l={self.l}")
-        if self.l % 2 == 0:
-            raise ValueError(f"l must be odd, got l={self.l}")
-        if 2 * self.t * self.l != self.side:
-            raise ValueError(
-                f"2*t*l must equal the side: 2*{self.t}*{self.l} != {self.side}"
-            )
-        if gcd(self.t, self.l) != 1:
-            raise ValueError(f"t and l must be coprime, got t={self.t}, l={self.l}")
+        side = ensure_side(self.side)
+        t, l = ensure("t", self.t, int, 1), ensure("l", self.l, int, 1)
+        if l % 2 == 0:
+            raise ValueError(f"l must be odd, got l={l}")
+        if 2 * t * l != side:
+            raise ValueError(f"2*t*l must equal the side: 2*{t}*{l} != {side}")
+        if gcd(t, l) != 1:
+            raise ValueError(f"t and l must be coprime, got t={t}, l={l}")
 
 
 @cache
@@ -106,13 +103,13 @@ def _is_prime(n: int) -> bool:
 def _rho(n: int) -> int:
     """A proper factor of the odd composite n, by Brent's rho.
 
-    The maps y -> y^2 + c are tried from y = 2 for c = 1 .. 16, so a run is
-    reproducible; no composite measured needed c > 3, and a prime fails require.
+    The maps y -> y^2 + c are tried from y = 2 for c = 1 .. 16, each until r passes
+    8 n^(1/4); no composite measured passed n^(1/4) or c = 3, and a prime fails require.
     """
-    batch = 128
+    batch, limit = 128, 8 * isqrt(isqrt(n))
     for c in range(1, 17):
         y, r, q, g = 2, 1, 1, 1
-        while g == 1:
+        while g == 1 and r <= limit:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -130,7 +127,7 @@ def _rho(n: int) -> int:
             while g == 1:
                 saved = (saved * saved + c) % n
                 g = gcd(x - saved, n)
-        if g != n:
+        if 1 < g < n:
             return g
     require(False, n)
 

@@ -31,9 +31,8 @@ class PrimitiveTriple:
     z: int
 
     def __post_init__(self) -> None:
-        x, y, z = self.x, self.y, self.z
-        if ensure("x", x, int) < 1 or ensure("y", y, int) < 1 or ensure("z", z, int) < 1:
-            raise ValueError(f"triple elements must be positive: {self}")
+        x, y, z = (ensure("x", self.x, int, 1), ensure("y", self.y, int, 1),
+                   ensure("z", self.z, int, 1))
         if x * x + y * y != z * z:
             raise NotATripleError(f"{x}^2 + {y}^2 != {z}^2")
         common = gcd(x, y)
@@ -63,9 +62,14 @@ def construct(partition: Partition) -> PrimitiveTriple:
 
 def from_legs(a: int, b: int, c: int) -> PrimitiveTriple:
     """The primitive triple whose legs are given in any order: odd leg, even leg, z."""
-    first, second, z = sorted((a, b, c))
-    if first % 2 < second % 2:
-        first, second = second, first
+    try:
+        first, second, z = sorted((a, b, c))
+        if first % 2 < second % 2:
+            first, second = second, first
+    except TypeError:  # a leg that is no int: name it
+        for name, value in zip("abc", (a, b, c)):
+            ensure(name, value, int)
+        raise
     return PrimitiveTriple(first, second, z)
 
 
@@ -89,8 +93,7 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     inverts the reduced primitive triple.
     """
     for value in (a, b, c):
-        if ensure("triple element", value, int) < 1:
-            raise ValueError(f"triple elements must be positive, got {value}")
+        ensure("triple element", value, int, 1)
     k = gcd(gcd(a, b), c)
     return k, invert(a // k, b // k, c // k)
 

@@ -548,6 +548,24 @@ class TestUsage:
         assert err.startswith("error: size-limit: factor 166666666667 ")
         assert (result.returncode, result.stdout) == (1, out + err)
 
+    def test_a_failed_invariant_is_one_error_line(self, capsys, monkeypatch):
+        # A primality fault hands the prime 100000000003 to rho, which fails require.
+        argv = ["enumerate", "--from-s", "200000000006", "--to-s", "200000000006"]
+        script = (
+            "import sys\n"
+            "from gnomon_triples import cli, partitions\n"
+            "partitions._is_prime = lambda n: False\n"
+            f"sys.argv = ['gnomon-triples', *{argv!r}]\n"
+            "cli.entry_point()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+        )
+        monkeypatch.setattr(partitions, "_is_prime", lambda n: False)
+        assert run_cli(capsys, *argv) == (1, "", "error: internal: 100000000003\n")
+        assert (result.returncode, result.stdout) == (1, "error: internal: 100000000003\n")
+
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "default"])
     def test_full_non_blocking_stdout_is_one_error_line(self, unbuffered):
         # Nothing reads the pipe before the child exits, so its writes fill it.

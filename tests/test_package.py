@@ -1,19 +1,21 @@
-"""The package's public API: the exact set of names it exports, and its one type rule.
+"""The package's public API: the exact set of names it exports, and its one argument rule.
 
 ``__all__`` is derived from the names ``__init__`` imports, so this pin is
 what notices an export that is dropped, renamed or added.  src has no
-``assert``, and decides a wrong argument type only in ``errors.ensure``.
+``assert``, and decides a wrong argument type or a value below its least
+only in ``errors.ensure``.
 """
 
 import ast
 import inspect
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 import gnomon_triples
-from gnomon_triples import DiagramSpec, Partition, PrimitiveTriple, index_of, scale
+from gnomon_triples import DiagramSpec, Partition, PrimitiveTriple, index_of, invert, scale
 
 SRC = sorted(Path(gnomon_triples.__file__).parent.glob("*.py"))
 T345 = PrimitiveTriple(3, 4, 5)
@@ -115,6 +117,49 @@ def test_wrong_types_are_decided_only_in_ensure():
     assert RECORDS == {
         "DiagramSpec", "GeneralTriple", "Gnomon", "Partition", "PrimitiveTriple", "TableRow"
     }
+
+
+def _is_ensure(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ensure"
+
+
+def test_least_values_are_decided_only_in_ensure():
+    """``ensure(name, value, int, least)`` is the one "at least" rule.
+
+    No src compares what ``ensure`` returns (but ``ensure_side``, with its own
+    "positive even integer" message), and no raise words a least value by hand.
+    """
+    compared, worded = [], []
+    for path in SRC:
+        for scope, node in _defs(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                map(_is_ensure, [node.left, *node.comparators])
+            ):
+                compared.append((path.name, scope))
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = " ".join(
+                    n.value for n in ast.walk(node.exc)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                )
+                if re.search(r"must (be (positive|at least|>=)|lie in)", text):
+                    worded.append((path.name, scope))
+    assert compared == [("partitions.py", "ensure_side")]
+    assert worded == [("errors.py", "ensure")]
+
+
+@pytest.mark.parametrize(
+    "legs, message",
+    [
+        ((None, 4, 5), "a must be an int, got NoneType"),  # sorted fails
+        (("3", "4", "5"), "a must be an int, got str"),  # sorted passes, % fails
+        ((3, 4, [5]), "c must be an int, got list"),
+    ],
+)
+def test_a_leg_of_the_wrong_type_is_named(legs, message):
+    """``invert`` once leaked the unworded TypeError of ``sorted`` or ``%``."""
+    with pytest.raises(TypeError) as caught:
+        invert(*legs)
+    assert str(caught.value) == message
 
 
 ROW = index_of(T345)

@@ -1,5 +1,6 @@
 """Side factorization and (t, l) split enumeration."""
 
+import time
 from itertools import combinations
 from math import gcd, prod
 
@@ -56,6 +57,11 @@ class TestEnsureSide:
 
 
 class TestFactorSide:
+    def test_base_primes_are_the_odd_primes_up_to_the_cap(self):
+        # Early in the file: a sieve that keeps a composite or an even number makes
+        # factor_window divide by it blindly, and a rest that reaches 0 never ends.
+        assert list(partitions._base_primes()) == list(sympy.primerange(3, 2**16 + 1))
+
     def test_power_of_two_has_no_odd_part(self):
         assert factor_side(2) == ()
 
@@ -142,8 +148,9 @@ class TestPartitionValidation:
             Partition(t=3, l=3, side=18)
 
     def test_rejects_nonpositive(self):
-        for t, l in ((0, 1), (1, 0), (-1, -1)):  # -1 * -1 passes every other check
-            with pytest.raises(ValueError, match="must be positive"):
+        # -1 * -1 passes every other check
+        for t, l, name, value in ((0, 1, "t", 0), (1, 0, "l", 0), (-1, -1, "t", -1)):
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
                 Partition(t=t, l=l, side=2)
         for t, l, name in ((True, 1, "t"), (1, True, "l"), (1.0, 1, "t")):  # 2*t*l == 2 for all
             with pytest.raises(TypeError, match=f"{name} must be an int"):
@@ -304,6 +311,13 @@ class TestFactoringLayer:
         with pytest.raises(AssertionError, match="^1000003$"):
             partitions._rho(1_000_003)
         assert partitions._rho(2963 * 2791) in (2963, 2791)  # c = 1 and c = 2 fail on it
+
+    def test_rho_on_a_prime_ends_within_half_a_second(self):
+        # Each map stops once r passes 8 n^(1/4); with no bound on r this took about 3 s.
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match="^100000000003$"):
+            partitions._rho(100_000_000_003)
+        assert time.perf_counter() - start < 0.5
 
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009

@@ -58,8 +58,8 @@ class TestPrimitiveTripleValidation:
         with pytest.raises(ValueError):
             PrimitiveTriple(-3, 4, 5)
         # a zero is refused as not positive, not by a later check; (1, 0, 1) passes them all
-        for zeros in [(0, 1, 1), (1, 0, 1), (3, 4, 0)]:
-            with pytest.raises(ValueError, match="must be positive"):
+        for zeros, name in [((0, 1, 1), "x"), ((1, 0, 1), "y"), ((3, 4, 0), "z")]:
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
                 PrimitiveTriple(*zeros)
         for legs, name in (((3, 4, 5.0), "z"), ((3.0, 4, 5), "x")):
             with pytest.raises(TypeError, match=f"{name} must be an int"):
