@@ -9,9 +9,8 @@ gnomon rectangles and checks that they cover exactly the paired square's area.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .errors import SizeLimitError, ensure, require
+from .errors import SizeLimitError, ensure, record, require
 from .gnomons import scale
 from .triples import PrimitiveTriple
 
@@ -40,7 +39,7 @@ _STYLE = (
 _Rect = tuple[int, int, int, int, str]
 
 
-@dataclass(frozen=True)
+@record
 class DiagramSpec:
     """What to draw: a kind, the triple, and (for lattices) the scale."""
 

@@ -1,4 +1,4 @@
-"""Domain errors raised by the library, its internal invariant check, and its argument check.
+"""Domain errors of the library, its invariant and argument checks, and its record maker.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
 with ``error: <code>:`` so callers can match on it.  Every int and record
@@ -15,6 +15,28 @@ def ensure(name: str, value, kind: type, least: int | None = None):
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def record(cls: type) -> type:
+    """Make a class a frozen value of its annotated fields, as ``dataclass(frozen=True)`` does."""
+    names = cls.__match_args__ = tuple(cls.__annotations__)  # a class attribute is a default
+    ns = {"_set": object.__setattr__} | {f"{n}_": vars(cls)[n] for n in names if n in vars(cls)}
+    params = ", ".join(f"{n}={n}_" if n in vars(cls) else n for n in names)
+    own, their = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    exec(
+        f"def __init__(self, {params}):\n"  # its own: one shared by all records constructs slower
+        f"    {''.join(f'_set(self, {n!r}, {n}); ' for n in names)}self.__post_init__()\n"
+        "def __eq__(self, other):\n    if other.__class__ is not self.__class__:\n"
+        f"        return NotImplemented\n    return ({own}) == ({their})\n"
+        f"def __hash__(self):\n    return hash(({own}))\n"
+        f"def __repr__(self):\n    return f'{cls.__qualname__}({shown})'\n"
+        "def __setattr__(self, name, value=None):\n"
+        "    raise AttributeError(f'cannot set or delete {name!r}: {self!r} is immutable')\n"
+        "__delattr__ = __setattr__\n", ns)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        setattr(cls, name, ns[name])
+    return cls
 
 
 def require(condition: bool, context: object) -> None:

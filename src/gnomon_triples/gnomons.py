@@ -11,13 +11,11 @@ suffix of the longer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ensure
+from .errors import ensure, record
 from .triples import PrimitiveTriple
 
 
-@dataclass(frozen=True)
+@record
 class Gnomon:
     """An L-shaped border of thickness T inside a square of side L.
 
@@ -51,7 +49,7 @@ class Gnomon:
         return range(self.first_term, 2 * self.side_length, 2)
 
 
-@dataclass(frozen=True)
+@record
 class GeneralTriple:
     """A primitive triple scaled by k, and its two gnomons over the same kz-by-kz square.
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
-from .errors import SizeLimitError, ensure, require
+from .errors import SizeLimitError, ensure, record, require
 
 BASE_PRIME_CAP = 2**16
 # The primes a single side always has divided out before the finisher.
@@ -53,7 +52,7 @@ def ensure_side(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """One split S = 2tl with l odd and gcd(t, l) = 1."""
 
@@ -122,11 +121,13 @@ def _rho(n: int) -> int:
                 g = gcd(q, n)
                 k += batch
             r *= 2
-        if g == n:  # the batch overshot: redo it one step at a time
-            g = 1
-            while g == 1:
+        if g == n:  # the batch overshot: redo it one step at a time, within one batch
+            for _ in range(batch):
                 saved = (saved * saved + c) % n
                 g = gcd(x - saved, n)
+                if g > 1:
+                    break
+            require(g > 1, n)
         if 1 < g < n:
             return g
     require(False, n)
@@ -177,11 +178,12 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
             for i in range(-start % p, len(halves), p):
                 n = rests[i] // p
                 exponent = 1
-                while n % p == 0:
+                while n % p == 0 and n:  # a rest of 0 is a fault, and found below
                     n //= p
                     exponent += 1
                 rests[i] = n
                 found[i] += ((p, exponent),)
+        require(all(rests), start)
         for h, n, powers in zip(halves, rests, found):
             yield 2 * h, (powers + tuple(_finish(n, bound)) if n > 1 else powers)
 

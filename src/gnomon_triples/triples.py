@@ -12,14 +12,13 @@ z - y is the perfect square l^2, then x - l^2 = S and t = S / (2l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure
+from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure, record
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
+@record
 class PrimitiveTriple:
     """A primitive Pythagorean triple with the odd leg stored as x, the even leg as y.
 

@@ -641,6 +641,20 @@ class TestUsage:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "['gnomon_triples']\n"
 
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        """Each CLI start pays for its imports; the records need neither module."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import gnomon_triples.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+
 
 # CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or
 # 2 from argparse), lets no other exception escape and finishes quickly.

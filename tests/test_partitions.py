@@ -1,6 +1,7 @@
 """Side factorization and (t, l) split enumeration."""
 
 import time
+from array import array
 from itertools import combinations
 from math import gcd, prod
 
@@ -318,6 +319,32 @@ class TestFactoringLayer:
         with pytest.raises(AssertionError, match="^100000000003$"):
             partitions._rho(100_000_000_003)
         assert time.perf_counter() - start < 0.5
+
+    def test_rho_splits_a_composite_whose_batch_overshoots(self):
+        # c = 1 catches both primes of 22055881 = 1303 * 16927 in one batch; the
+        # replay splits it there, where the next map would take twice as long.
+        assert partitions._rho(22_055_881) == 16927
+
+    def test_a_replay_that_never_splits_fails_within_a_batch(self, monkeypatch):
+        # A fault that loses the replay's common factor must end, not spin: the
+        # replay takes at most one batch of steps, then fails require, naming n.
+        found = []  # each call's gcd: n once, when the batch overshoots, then 1
+
+        def gcd_that_loses_the_factor(a, n):
+            found.append(1 if n in found else gcd(a, n))
+            return found[-1]
+
+        monkeypatch.setattr(partitions, "gcd", gcd_that_loses_the_factor)
+        with pytest.raises(AssertionError, match="^22055881$"):
+            partitions._rho(22_055_881)
+        assert found[found.index(22_055_881) + 1 :] == [1] * 128  # one batch of steps
+
+    def test_a_zero_rest_fails_the_window_and_does_not_hang(self, monkeypatch):
+        # A wrong base prime (9, say) divides the rest 1 of the half-side 9 down to 0,
+        # on which the exponent loop must stop; the segment then fails require.
+        monkeypatch.setattr(partitions, "_base_primes", lambda: array("H", [3, 9]))
+        with pytest.raises(AssertionError, match="^1$"):
+            list(factor_window(2, 200))
 
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
