@@ -10,8 +10,6 @@ terminal) whatever ``PYTHONUNBUFFERED`` says, so a non-blocking stdout that fill
 ends in ``error: write could not complete without blocking: <stdout>``.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -124,12 +122,8 @@ def cmd_scale(args) -> int:
 
 def cmd_verify(args) -> int:
     z_max = args.z_max
-    # 2t^2 + l^2 > 2*sqrt(2)*tl, so z = S + 2t^2 + l^2 > (1+sqrt(2))*S: no row with
-    # z <= z_max lies on a side above z_max*(sqrt(2)-1).
-    side_cap = math.isqrt(2 * z_max * z_max) - z_max
-    side_cap -= side_cap % 2
     enumerated, rows = set(), 0
-    for row in stream(2, side_cap):
+    for row in stream(2, z_max - z_max % 2):  # every row has z = S + 2t^2 + l^2 > S
         if row.z <= z_max:
             enumerated.add(row.triple)
             rows += 1

@@ -6,8 +6,6 @@ produce byte-identical SVG.  Before emitting, the renderer re-sums the
 gnomon rectangles and checks that they cover exactly the paired square's area.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .errors import SizeLimitError, ensure, record, require
@@ -49,6 +47,7 @@ class DiagramSpec:
     unit_px: float = 10.0
 
     def __post_init__(self) -> None:
+        ensure("kind", self.kind, str)
         scale(self.triple, self.scale_k)  # a PrimitiveTriple at a positive int scale
         if self.kind not in KINDS:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
@@ -114,8 +113,7 @@ def _build(spec: DiagramSpec) -> tuple[int, list[_Rect], list[_Rect]]:
 
 
 def _px(value: float) -> str:
-    text = f"{value:.6f}".rstrip("0").rstrip(".")
-    return text or "0"
+    return f"{value:.6f}".rstrip("0").rstrip(".")
 
 
 def render(spec: DiagramSpec) -> str:

@@ -1,7 +1,7 @@
 """Domain errors of the library, its invariant and argument checks, and its record maker.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
-with ``error: <code>:`` so callers can match on it.  Every int and record
+with ``error: <code>:`` so callers can match on it.  Every int, str and record
 the public boundary takes passes ``ensure`` once, where it is taken, which
 decides its type and, for an int with a least value, its size.
 """

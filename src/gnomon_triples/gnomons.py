@@ -9,8 +9,6 @@ inner square, and both progressions end at 2z - 1, so the shorter one is a
 suffix of the longer.
 """
 
-from __future__ import annotations
-
 from .errors import ensure, record
 from .triples import PrimitiveTriple
 

@@ -5,8 +5,6 @@ classical parametrization runs over coprime opposite-parity (m, n).  Neither
 touches the partition machinery, so agreement with it is meaningful.
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .errors import ensure
@@ -37,12 +35,10 @@ def euclid_parametrization(z_max: int) -> set[PrimitiveTriple]:
     """
     ensure("z_max", z_max, int, 5)
     found = set()
-    m = 2
-    while m * m + 1 <= z_max:
+    for m in range(2, isqrt(z_max - 1) + 1):
         for n in range(1, m):
             if (m + n) % 2 == 1 and gcd(m, n) == 1:
                 z = m * m + n * n
                 if z <= z_max:
                     found.add(PrimitiveTriple(x=m * m - n * n, y=2 * m * n, z=z))
-        m += 1
     return found

@@ -5,8 +5,6 @@ the splits of one side by ascending t.  Walking sides upward and splits
 inward visits every primitive triple exactly once.
 """
 
-from __future__ import annotations
-
 from types import MethodType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -85,6 +83,7 @@ def index_of(triple: PrimitiveTriple) -> TableRow:
 
 def _templates(fmt: str) -> tuple[str, str]:
     """fmt's (first split, later split) line templates; the one format check."""
+    ensure("fmt", fmt, str)
     if fmt not in ROW_TEMPLATES:
         raise ValueError(f"unknown table format {fmt!r}, expected one of {TABLE_FORMATS}")
     return ROW_TEMPLATES[fmt]

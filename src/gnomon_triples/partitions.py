@@ -19,8 +19,6 @@ and Brent's rho (BIT 20, 1980) splits a composite.  A cofactor at or above
 psi_13 is refused with ``SizeLimitError``: past it, primality is not proven.
 """
 
-from __future__ import annotations
-
 from array import array
 from bisect import bisect_right
 from functools import cache

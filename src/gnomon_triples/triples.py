@@ -10,8 +10,6 @@ The inverse orders the legs with from_legs, then reads the split off the triple:
 z - y is the perfect square l^2, then x - l^2 = S and t = S / (2l).
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure, record

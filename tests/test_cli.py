@@ -238,6 +238,11 @@ class TestVerify:
         assert out == "enumerator: 16\nbrute_force: 16\neuclid: 16\nPASS\n"
         code, out, _ = run_cli(capsys, "verify", "--z-max", "5")  # a bound that is a hypotenuse
         assert (code, out) == (0, "enumerator: 1\nbrute_force: 1\neuclid: 1\nPASS\n")
+        # Odd and even bounds; 29 and 30 need side 12, for (21, 20, 29).
+        for z_max, count in ((13, 2), (25, 4), (26, 4), (29, 5), (30, 5)):
+            code, out, _ = run_cli(capsys, "verify", "--z-max", str(z_max))
+            assert (code, out) == (0, f"enumerator: {count}\nbrute_force: {count}\n"
+                                      f"euclid: {count}\nPASS\n"), z_max
 
     def test_default_bound_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

@@ -44,7 +44,9 @@ def test_euclid_produces_the_tablet_triple():
 
 
 def test_oracles_agree():
-    assert brute_force_primitive(2000) == euclid_parametrization(2000)
+    # Every bound up to 130 crosses each m^2 + 1 edge of euclid's range of m up to m = 11.
+    for z_max in (*range(5, 131), 2000):
+        assert brute_force_primitive(z_max) == euclid_parametrization(z_max), z_max
 
 
 @pytest.mark.parametrize("oracle", [brute_force_primitive, euclid_parametrization])

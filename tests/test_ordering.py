@@ -246,6 +246,18 @@ class TestRenderLines:
         with pytest.raises(ValueError, match="unknown table format 'csv'"):
             render_lines(2, 4, "csv")
 
+    @pytest.mark.parametrize(
+        "fmt, message",
+        [(None, "fmt must be a str, got NoneType"), (3, "fmt must be a str, got int"),
+         ([], "fmt must be a str, got list")],
+        ids=["None", "int", "list"],
+    )
+    def test_a_format_of_the_wrong_type_is_named(self, fmt, message):
+        """``render_lines(2, 4, [])`` once leaked "unhashable type: 'list'"."""
+        with pytest.raises(TypeError) as caught:
+            render_lines(2, 4, fmt)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("rows", [lambda a, b: render_lines(a, b, "tsv"), stream],
                              ids=["render_lines", "stream"])
     def test_rows_before_a_size_limit_come_out_first(self, monkeypatch, rows):

@@ -238,11 +238,27 @@ def test_a_wrong_type_is_a_type_or_value_error():
         ("pair_progressions", "pair", T345, "pair must be a GeneralTriple, got PrimitiveTriple"),
         ("render_row", "row", tuple(ROW), "row must be a TableRow, got tuple"),
         ("render_table", "rows", [tuple(ROW)], "row must be a TableRow, got tuple"),
+        ("DiagramSpec", "kind", None, "kind must be a str, got NoneType"),
+        ("DiagramSpec", "kind", 3, "kind must be a str, got int"),
+        ("DiagramSpec", "kind", ["lattice"], "kind must be a str, got list"),
+        ("render_row", "fmt", None, "fmt must be a str, got NoneType"),
+        ("render_row", "fmt", 3, "fmt must be a str, got int"),
+        ("render_row", "fmt", ["tsv"], "fmt must be a str, got list"),
+        ("render_table", "fmt", None, "fmt must be a str, got NoneType"),
+        ("render_table", "fmt", 3, "fmt must be a str, got int"),
+        ("render_table", "fmt", ["tsv"], "fmt must be a str, got list"),
     ],
-    ids=["construct", "render", "overlap_terms", "pair_progressions", "render_row", "render_table"],
+    ids=["construct", "render", "overlap_terms", "pair_progressions", "render_row", "render_table",
+         "DiagramSpec-kind-None", "DiagramSpec-kind-int", "DiagramSpec-kind-list",
+         "render_row-fmt-None", "render_row-fmt-int", "render_row-fmt-list",
+         "render_table-fmt-None", "render_table-fmt-int", "render_table-fmt-list"],
 )
 def test_a_record_argument_of_the_wrong_type_is_named(name, parameter, wrong, message):
-    """These six once leaked AttributeError; ``render_table`` names each of its rows."""
+    """The first six once leaked AttributeError; ``render_table`` names each of its rows.
+
+    A ``kind`` or ``fmt`` that is no str was once an "unknown" ValueError, or
+    an unhashable-type TypeError that did not name it.
+    """
     with pytest.raises(TypeError) as caught:
         _call(name, {**VALID_CALLS[name], parameter: wrong})
     assert str(caught.value) == message
