@@ -11,7 +11,6 @@ ends in ``error: write could not complete without blocking: <stdout>``.
 """
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -57,7 +56,7 @@ def _unit_px(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0 < value < math.inf:
+    if not 0 < value <= sys.float_info.max:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 

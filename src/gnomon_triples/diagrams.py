@@ -51,10 +51,9 @@ class DiagramSpec:
         scale(self.triple, self.scale_k)  # a PrimitiveTriple at a positive int scale
         if self.kind not in KINDS:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
-        if isinstance(self.unit_px, bool) or not isinstance(self.unit_px, (int, float)):
-            raise TypeError(f"unit_px must be a number, got {type(self.unit_px).__name__}")
-        if not 0 < self.unit_px <= sys.float_info.max:
-            raise ValueError(f"unit_px must be a positive finite number, got {self.unit_px}")
+        unit_px = ensure("unit_px", self.unit_px, (int, float))
+        if not 0 < unit_px <= sys.float_info.max:
+            raise ValueError(f"unit_px must be a positive finite number, got {unit_px}")
 
 
 def _band_rects(frame: int, thickness: int, css: str, dx: int = 0) -> list[_Rect]:

@@ -1,17 +1,19 @@
 """Domain errors of the library, its invariant and argument checks, and its record maker.
 
 Each error carries a stable ``code`` string; the CLI prefixes messages
-with ``error: <code>:`` so callers can match on it.  Every int, str and record
-the public boundary takes passes ``ensure`` once, where it is taken, which
-decides its type and, for an int with a least value, its size.
+with ``error: <code>:`` so callers can match on it.  Every argument the public
+boundary takes is checked where it is taken, and only ``ensure`` decides its
+type and, where it has a least value, its size.
 """
 
 
-def ensure(name: str, value, kind: type, least: int | None = None):
-    """Return value if it is a kind (a bool is no int) not below least; else raise naming it."""
+def ensure(name: str, value, kind: type | tuple[type, ...], least: int | None = None):
+    """Return value if it is a kind or one of a tuple of kinds (a bool is no int) not below
+    least, a constant or another argument's value; else raise naming it."""
     if type(value) is not kind and (not isinstance(value, kind) or isinstance(value, bool)):
-        article = "an" if kind is int else "a"
-        raise TypeError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(k.__name__ for k in kind) if type(kind) is tuple else kind.__name__
+        article = "an" if kinds[0] in "AEIOUaeiou" else "a"
+        raise TypeError(f"{name} must be {article} {kinds}, got {type(value).__name__}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return value

@@ -26,9 +26,7 @@ class Gnomon:
 
     def __post_init__(self) -> None:
         thickness = ensure("thickness", self.thickness, int, 1)
-        side_length = ensure("side_length", self.side_length, int, 1)
-        if thickness > side_length:
-            raise ValueError(f"thickness {thickness} exceeds side_length {side_length}")
+        ensure("side_length", self.side_length, int, thickness)
 
     @property
     def area(self) -> int:

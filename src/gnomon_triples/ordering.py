@@ -5,8 +5,9 @@ the splits of one side by ascending t.  Walking sides upward and splits
 inward visits every primitive triple exactly once.
 """
 
+from collections.abc import Callable, Iterable, Iterator
 from types import MethodType
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ensure
 from .partitions import Partition, factor_side, factor_window, odd_parts
@@ -98,6 +99,7 @@ def render_row(row: TableRow, fmt: str) -> str:
 def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
     """Render rows as text; empty input renders as empty output."""
     templates = _templates(fmt)
+    ensure("rows", rows, Iterable)
     return "".join(templates[ensure("row", r, TableRow).n2 > 1] % r for r in rows)
 
 

@@ -45,7 +45,7 @@ PSI_13 = 3_317_044_064_679_887_385_961_981
 
 def ensure_side(value: int) -> int:
     """Validate a generating-square side: a positive even integer."""
-    if ensure("side", value, int) < 2 or value % 2 != 0:
+    if ensure("side", value, int, 2) % 2 != 0:
         raise ValueError(f"side must be a positive even integer, got {value}")
     return value
 
@@ -161,9 +161,7 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
     lazily, so a side's factors come without touching later segments.
     """
     ensure_side(from_s)
-    ensure_side(to_s)
-    if from_s > to_s:
-        raise ValueError(f"empty side range: {from_s} > {to_s}")
+    ensure("to_s", ensure_side(to_s), int, from_s)
     first, last = from_s // 2, to_s // 2
     bound = min(isqrt(last), BASE_PRIME_CAP)
     primes = _base_primes()[: bisect_right(_base_primes(), bound)]

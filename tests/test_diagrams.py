@@ -205,9 +205,9 @@ class TestRendering:
             render(DiagramSpec("lattice_regrouped", T345, scale_k=2.5))
         with pytest.raises(TypeError, match="bool"):
             DiagramSpec("lattice", T345, scale_k=True)
-        # unit_px must be a number, and a bool is not one
+        # unit_px must be an int or a float, and a bool is neither
         for unit_px in (True, "10"):
-            with pytest.raises(TypeError, match="unit_px must be a number"):
+            with pytest.raises(TypeError, match="^unit_px must be an int or float, got "):
                 DiagramSpec("lattice", T345, unit_px=unit_px)
 
     def test_trailing_newline_and_no_float_noise(self):

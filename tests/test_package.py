@@ -3,7 +3,7 @@
 ``__all__`` is derived from the names ``__init__`` imports, so this pin is
 what notices an export that is dropped, renamed or added.  src has no
 ``assert``, and decides a wrong argument type or a value below its least
-only in ``errors.ensure``.
+only in ``errors.ensure``, with no exception.
 """
 
 import ast
@@ -15,7 +15,10 @@ from pathlib import Path
 import pytest
 
 import gnomon_triples
-from gnomon_triples import DiagramSpec, Partition, PrimitiveTriple, index_of, invert, scale
+from gnomon_triples import (
+    DiagramSpec, Gnomon, Partition, PrimitiveTriple, ensure_side, index_of, invert, scale, stream
+)
+from gnomon_triples.ordering import render_lines
 
 SRC = sorted(Path(gnomon_triples.__file__).parent.glob("*.py"))
 T345 = PrimitiveTriple(3, 4, 5)
@@ -94,7 +97,7 @@ RECORDS = {
 
 
 def test_wrong_types_are_decided_only_in_ensure():
-    """One ``raise TypeError`` rules every int and record; ``unit_px``, a number, has its own."""
+    """One ``raise TypeError``, in ``ensure``, rules every argument, ``unit_px`` and ``rows``."""
     raises, record_checks = [], []
     for path in SRC:
         source = path.read_text(encoding="utf-8")
@@ -112,7 +115,7 @@ def test_wrong_types_are_decided_only_in_ensure():
                 and path.name != "errors.py"
             ):
                 record_checks.append((path.name, node.lineno))
-    assert raises == [("diagrams.py", "DiagramSpec.__post_init__"), ("errors.py", "ensure")]
+    assert raises == [("errors.py", "ensure")]
     assert record_checks == []
     assert RECORDS == {
         "DiagramSpec", "GeneralTriple", "Gnomon", "Partition", "PrimitiveTriple", "TableRow"
@@ -126,8 +129,9 @@ def _is_ensure(node) -> bool:
 def test_least_values_are_decided_only_in_ensure():
     """``ensure(name, value, int, least)`` is the one "at least" rule.
 
-    No src compares what ``ensure`` returns (but ``ensure_side``, with its own
-    "positive even integer" message), and no raise words a least value by hand.
+    No src compares what ``ensure`` returns, and no raise words a least value
+    by hand: a least set by another argument (``Gnomon``'s ``thickness``,
+    ``factor_window``'s ``from_s``) is passed to ``ensure`` as ``least``.
     """
     compared, worded = [], []
     for path in SRC:
@@ -143,7 +147,7 @@ def test_least_values_are_decided_only_in_ensure():
                 )
                 if re.search(r"must (be (positive|at least|>=)|lie in)", text):
                     worded.append((path.name, scope))
-    assert compared == [("partitions.py", "ensure_side")]
+    assert compared == []
     assert worded == [("errors.py", "ensure")]
 
 
@@ -247,18 +251,46 @@ def test_a_wrong_type_is_a_type_or_value_error():
         ("render_table", "fmt", None, "fmt must be a str, got NoneType"),
         ("render_table", "fmt", 3, "fmt must be a str, got int"),
         ("render_table", "fmt", ["tsv"], "fmt must be a str, got list"),
+        ("render_table", "rows", 3, "rows must be an Iterable, got int"),
+        ("render_table", "rows", None, "rows must be an Iterable, got NoneType"),
+        ("DiagramSpec", "unit_px", "10", "unit_px must be an int or float, got str"),
+        ("DiagramSpec", "unit_px", None, "unit_px must be an int or float, got NoneType"),
     ],
     ids=["construct", "render", "overlap_terms", "pair_progressions", "render_row", "render_table",
          "DiagramSpec-kind-None", "DiagramSpec-kind-int", "DiagramSpec-kind-list",
          "render_row-fmt-None", "render_row-fmt-int", "render_row-fmt-list",
-         "render_table-fmt-None", "render_table-fmt-int", "render_table-fmt-list"],
+         "render_table-fmt-None", "render_table-fmt-int", "render_table-fmt-list",
+         "render_table-rows-int", "render_table-rows-None",
+         "DiagramSpec-unit_px-str", "DiagramSpec-unit_px-None"],
 )
 def test_a_record_argument_of_the_wrong_type_is_named(name, parameter, wrong, message):
     """The first six once leaked AttributeError; ``render_table`` names each of its rows.
 
     A ``kind`` or ``fmt`` that is no str was once an "unknown" ValueError, or
-    an unhashable-type TypeError that did not name it.
+    an unhashable-type TypeError that did not name it.  ``rows`` that are not
+    iterable once leaked "'int' object is not iterable".
     """
     with pytest.raises(TypeError) as caught:
         _call(name, {**VALID_CALLS[name], parameter: wrong})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Gnomon(6, 5), "side_length must be at least 6, got 5"),
+        (lambda: next(stream(30, 4)), "to_s must be at least 30, got 4"),
+        (lambda: next(render_lines(30, 4, "tsv")), "to_s must be at least 30, got 4"),
+        (lambda: ensure_side(0), "side must be at least 2, got 0"),
+    ],
+    ids=["Gnomon", "stream", "render_lines", "ensure_side"],
+)
+def test_a_value_below_its_least_is_named(call, message):
+    """``thickness`` bounds ``side_length`` and ``from_s`` bounds ``to_s``, through ``ensure``.
+
+    They once raised "thickness 6 exceeds side_length 5" and "empty side range:
+    30 > 4"; a side below 2 once raised the odd side's "positive even" message.
+    """
+    with pytest.raises(ValueError) as caught:
+        call()
     assert str(caught.value) == message
