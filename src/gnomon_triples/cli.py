@@ -13,7 +13,6 @@ ends in ``error: write could not complete without blocking: <stdout>``.
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .diagrams import KINDS, DiagramSpec, render
 from .errors import DomainError
@@ -149,7 +148,8 @@ def cmd_diagram(args) -> int:
     spec = DiagramSpec(kind=args.kind, triple=base, scale_k=args.k, unit_px=args.unit)
     svg = render(spec)
     try:
-        Path(args.out).write_text(svg, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(svg)
     except OSError as exc:
         print(f"error: {exc.strerror}: {args.out}", file=sys.stderr)
         return 2

@@ -131,13 +131,11 @@ def render(spec: DiagramSpec) -> str:
         )
 
     u = spec.unit_px
+    px = {n: _px(n * u) for n in {n for r in rects + cell for n in r[:4]}}  # each coordinate once
 
     def rect_tag(rect: _Rect) -> str:
         rx, ry, rw, rh, css = rect
-        return (
-            f'<rect class="{css}" x="{_px(rx * u)}" y="{_px(ry * u)}" '
-            f'width="{_px(rw * u)}" height="{_px(rh * u)}"/>'
-        )
+        return f'<rect class="{css}" x="{px[rx]}" y="{px[ry]}" width="{px[rw]}" height="{px[rh]}"/>'
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -145,15 +143,11 @@ def render(spec: DiagramSpec) -> str:
         f"<title>{spec.kind} for {spec.triple.values()}, k={k}</title>",
         f"<defs><style>{_STYLE}</style></defs>",
     ]
-    lines += [rect_tag(r) for r in rects]
-    if cell:
-        # One formatted cell body, translated once per tile.
-        body = "\n".join(rect_tag(r) for r in cell) + "\n</g>"
+    lines += map(rect_tag, rects)
+    if cell:  # one formatted cell body, translated once per tile
+        body = "\n".join(map(rect_tag, cell)) + "\n</g>"
         offsets = [_px(i * spec.triple.z * u) for i in range(k)]
-        lines += [
-            f'<g class="cell" transform="translate({tx} {ty})">\n{body}'
-            for ty in offsets
-            for tx in offsets
-        ]
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        lines += [f'<g class="cell" transform="translate({tx} {ty})">\n{body}'
+                  for ty in offsets for tx in offsets]
+    lines.append("</svg>\n")  # one join, no copy after it: a large lattice copies slowly
+    return "\n".join(lines)

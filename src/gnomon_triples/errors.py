@@ -20,15 +20,20 @@ def ensure(name: str, value, kind: type | tuple[type, ...], least: int | None = 
 
 
 def record(cls: type) -> type:
-    """Make a class a frozen value of its annotated fields, as ``dataclass(frozen=True)`` does."""
+    """Make a class a frozen value of its annotated fields, as ``dataclass(frozen=True)`` does.
+
+    ``cls._unchecked(*fields)`` makes one without ``__post_init__``, for fields known valid.
+    """
     names = cls.__match_args__ = tuple(cls.__annotations__)  # a class attribute is a default
-    ns = {"_set": object.__setattr__} | {f"{n}_": vars(cls)[n] for n in names if n in vars(cls)}
+    ns = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls}
+    ns |= {f"{n}_": vars(cls)[n] for n in names if n in vars(cls)}
     params = ", ".join(f"{n}={n}_" if n in vars(cls) else n for n in names)
     own, their = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    sets = "".join(f"_set(self, {n!r}, {n}); " for n in names)
     exec(
-        f"def __init__(self, {params}):\n"  # its own: one shared by all records constructs slower
-        f"    {''.join(f'_set(self, {n!r}, {n}); ' for n in names)}self.__post_init__()\n"
+        f"def __init__(self, {params}):\n    {sets}self.__post_init__()\n"  # a shared one is slower
+        f"@staticmethod\ndef _unchecked({params}):\n    self = _new(_cls); {sets}return self\n"
         "def __eq__(self, other):\n    if other.__class__ is not self.__class__:\n"
         f"        return NotImplemented\n    return ({own}) == ({their})\n"
         f"def __hash__(self):\n    return hash(({own}))\n"
@@ -36,7 +41,7 @@ def record(cls: type) -> type:
         "def __setattr__(self, name, value=None):\n"
         "    raise AttributeError(f'cannot set or delete {name!r}: {self!r} is immutable')\n"
         "__delattr__ = __setattr__\n", ns)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+    for name in "__init__ _unchecked __eq__ __hash__ __repr__ __setattr__ __delattr__".split():
         setattr(cls, name, ns[name])
     return cls
 

@@ -76,13 +76,14 @@ class GeneralTriple:
     def values(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
+    # Unchecked: the legs of a valid triple give 1 <= z - y, z - x < z.
     @property
     def odd_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.y, self.z)
+        return Gnomon._unchecked(self.z - self.y, self.z)
 
     @property
     def even_gnomon(self) -> Gnomon:
-        return Gnomon(self.z - self.x, self.z)
+        return Gnomon._unchecked(self.z - self.x, self.z)
 
 
 def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:

@@ -5,9 +5,9 @@ the splits of one side by ascending t.  Walking sides upward and splits
 inward visits every primitive triple exactly once.
 """
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from types import MethodType
-from typing import NamedTuple
 
 from .errors import ensure
 from .partitions import Partition, factor_side, factor_window, odd_parts
@@ -26,21 +26,14 @@ ROW_TEMPLATES = {
 TABLE_FORMATS = tuple(ROW_TEMPLATES)
 
 
-class TableRow(NamedTuple):
+class TableRow(namedtuple("TableRow", "n1 n2 s t l x y z")):
     """One row of the order; the fields are exactly the jsonl keys.
 
     (n1, n2) is the row's place in the order.  Built unchecked by ``stream``;
     ``partition`` and ``triple`` validate.
     """
 
-    n1: int
-    n2: int
-    s: int
-    t: int
-    l: int
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
     @property
     def partition(self) -> Partition:

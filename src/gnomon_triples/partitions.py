@@ -21,10 +21,10 @@ psi_13 is refused with ``SizeLimitError``: past it, primality is not proven.
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt
-from typing import Iterable, Iterator
+from math import gcd, isqrt, prod
 
 from .errors import SizeLimitError, ensure, record, require
 
@@ -43,10 +43,10 @@ PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550
 PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
-def ensure_side(value: int) -> int:
-    """Validate a generating-square side: a positive even integer."""
-    if ensure("side", value, int, 2) % 2 != 0:
-        raise ValueError(f"side must be a positive even integer, got {value}")
+def ensure_side(value: int, name: str = "side") -> int:
+    """Validate a generating-square side, named name: a positive even integer."""
+    if ensure(ensure("name", name, str), value, int, 2) % 2 != 0:
+        raise ValueError(f"{name} must be a positive even integer, got {value}")
     return value
 
 
@@ -77,6 +77,12 @@ def _base_primes() -> array:
         if sieve[p]:
             sieve[p * p :: 2 * p] = bytes(len(range(p * p, BASE_PRIME_CAP + 1, 2 * p)))
     return array("H", compress(range(3, BASE_PRIME_CAP + 1, 2), sieve[3::2]))
+
+
+@cache
+def _point_primes_product() -> int:
+    """The product of the odd primes up to POINT_PRIME_CAP: one gcd finds a side's."""
+    return prod(_base_primes()[: bisect_right(_base_primes(), POINT_PRIME_CAP)])
 
 
 def _is_prime(n: int) -> bool:
@@ -160,8 +166,8 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
     half-sides is factored by the odd primes up to min(sqrt(to_s/2), 2^16),
     lazily, so a side's factors come without touching later segments.
     """
-    ensure_side(from_s)
-    ensure("to_s", ensure_side(to_s), int, from_s)
+    ensure_side(from_s, "from_s")
+    ensure("to_s", ensure_side(to_s, "to_s"), int, from_s)
     first, last = from_s // 2, to_s // 2
     bound = min(isqrt(last), BASE_PRIME_CAP)
     primes = _base_primes()[: bisect_right(_base_primes(), bound)]
@@ -187,17 +193,20 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
 def factor_side(side: int) -> tuple[tuple[int, int], ...]:
     """The side's odd (prime, exponent) pairs by increasing prime.
 
-    Divides out the primes up to POINT_PRIME_CAP, or all base primes while
-    the cofactor is at least PSI_13, stopping early once it is 1 or prime.
+    Divides out the primes up to POINT_PRIME_CAP that one gcd finds in it, or
+    all base primes while the cofactor is at least PSI_13, stopping early once it is 1 or prime.
     """
     n = ensure_side(side) // (side & -side)
+    small = gcd(n, _point_primes_product())  # the product of n's primes up to the cap
     found = []
     bound = BASE_PRIME_CAP
     for p in _base_primes():
-        if p * p > n or (p > POINT_PRIME_CAP and n < PSI_13):
-            bound = p - 1
+        if p * p > n or (small == 1 and n < PSI_13):
+            # n has no prime factor below p, nor, once small is 1, up to the cap
+            bound = max(p - 1, POINT_PRIME_CAP if small == 1 else 0)
             break
         if n % p == 0:
+            small //= gcd(small, p)
             n //= p
             exponent = 1
             while n % p == 0:

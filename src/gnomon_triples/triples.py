@@ -52,9 +52,9 @@ def split_of(x: int, y: int, z: int) -> tuple[int, int, int]:
 
 
 def construct(partition: Partition) -> PrimitiveTriple:
-    """Build the primitive triple generated by a (t, l) split of S."""
+    """Build the primitive triple of a (t, l) split of S; a Partition's triple needs no check."""
     s, t, l = ensure("partition", partition, Partition).side, partition.t, partition.l
-    return PrimitiveTriple(s + l * l, s + 2 * t * t, s + 2 * t * t + l * l)
+    return PrimitiveTriple._unchecked(s + l * l, s + 2 * t * t, s + 2 * t * t + l * l)
 
 
 def from_legs(a: int, b: int, c: int) -> PrimitiveTriple:

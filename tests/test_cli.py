@@ -646,19 +646,30 @@ class TestUsage:
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == "['gnomon_triples']\n"
 
-    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
-        """Each CLI start pays for its imports; the records need neither module."""
+    @staticmethod
+    def _loaded_at_start_up(modules) -> str:
+        """Those of modules that ``import gnomon_triples.cli`` loads, with no site hook."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         script = (
             "import sys\n"
             f"sys.path.insert(0, {src!r})\n"
             "import gnomon_triples.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            f"print(sorted({set(modules)!r} & set(sys.modules)))\n"
         )
         result = subprocess.run(
             [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
         )
-        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+        assert (result.returncode, result.stderr) == (0, "")
+        return result.stdout
+
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+        """Each CLI start pays for its imports; the records need neither module."""
+        assert self._loaded_at_start_up({"dataclasses", "inspect"}) == "[]\n"
+
+    def test_start_up_imports_neither_typing_nor_pathlib(self):
+        """``TableRow`` is a plain namedtuple subclass and ``diagram --out`` writes through
+        ``open``: about 10 ms of import with ``-S -I``, which a site hook can hide."""
+        assert self._loaded_at_start_up({"typing", "pathlib"}) == "[]\n"
 
 
 # CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or

@@ -48,6 +48,15 @@ class TestPairOfGnomons:
             assert t1 * (2 * z - t1) == x * x
             assert t2 * (2 * z - t2) == y * y
 
+    def test_gnomons_built_unchecked_equal_checked_ones(self):
+        # odd_gnomon and even_gnomon skip Gnomon's checks: a valid triple's pass them
+        for row in stream(2, 2000):
+            for k in (1, 3):
+                pair = scale(row.triple, k)
+                for gnomon in (pair.odd_gnomon, pair.even_gnomon):
+                    assert type(gnomon) is Gnomon
+                    assert gnomon == Gnomon(gnomon.thickness, gnomon.side_length)
+
     def test_gnomon_validation(self):
         with pytest.raises(ValueError):
             Gnomon(thickness=0, side_length=5)

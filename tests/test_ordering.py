@@ -61,12 +61,16 @@ class TestStream:
         assert row.triple.values() == (3, 4, 5)
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            list(stream(3, 10))
-        with pytest.raises(ValueError):
-            list(stream(2, 7))
-        with pytest.raises(ValueError):
-            list(stream(10, 2))
+        """The end at fault is named: the side checks once said only "side"."""
+        for (from_s, to_s), error, message in (
+            ((3, 10), ValueError, "from_s must be a positive even integer, got 3"),
+            (("2", 10), TypeError, "from_s must be an int, got str"),
+            ((2, 7), ValueError, "to_s must be a positive even integer, got 7"),
+            ((10, 2), ValueError, "to_s must be at least 10, got 2"),
+        ):
+            with pytest.raises(error) as caught:
+                list(stream(from_s, to_s))
+            assert str(caught.value) == message
 
     @pytest.mark.parametrize("from_s,to_s", [(4, 2), (3, 5)])
     def test_bad_range_raises_on_the_first_next_not_at_the_call(self, from_s, to_s):

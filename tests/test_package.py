@@ -126,16 +126,56 @@ def _is_ensure(node) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ensure"
 
 
+def _is_check(node) -> bool:
+    """A call of ``ensure`` or ``ensure_side``."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("ensure", "ensure_side")
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _hand_written_bounds(tree) -> list[tuple[str, int]]:
+    """(def, line) of each order comparison of a name that a def checked with ``ensure``
+    or ``ensure_side`` (bound from one, or handed to one as its value) with another argument."""
+    found = []
+    for scope, function in _defs(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        checked = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and any(map(_is_check, ast.walk(node.value))):
+                checked |= set().union(*map(_names, node.targets))
+            value = node.args[node.func.id == "ensure"] if _is_check(node) else None
+            if isinstance(value, ast.Name):  # ensure checks its second argument
+                checked.add(value.id)
+        arguments = checked | {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops
+            ):
+                operands = [_names(n) for n in (node.left, *node.comparators)]
+                if any(
+                    mine & checked and (theirs - mine) & arguments
+                    for mine in operands for theirs in operands if theirs is not mine
+                ):
+                    found.append((scope, node.lineno))
+    return found
+
+
 def test_least_values_are_decided_only_in_ensure():
     """``ensure(name, value, int, least)`` is the one "at least" rule.
 
-    No src compares what ``ensure`` returns, and no raise words a least value
-    by hand: a least set by another argument (``Gnomon``'s ``thickness``,
-    ``factor_window``'s ``from_s``) is passed to ``ensure`` as ``least``.
+    No src compares what ``ensure`` returns, or a name it checked, with another
+    argument, and no raise words a least value by hand: a least set by another
+    argument (``Gnomon``'s ``thickness``, ``factor_window``'s ``from_s``) is
+    passed to ``ensure`` as ``least``.
     """
     compared, worded = [], []
     for path in SRC:
-        for scope, node in _defs(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        compared += [(path.name, scope) for scope, _ in _hand_written_bounds(tree)]
+        for scope, node in _defs(tree):
             if isinstance(node, ast.Compare) and any(
                 map(_is_ensure, [node.left, *node.comparators])
             ):
@@ -178,7 +218,7 @@ VALID_CALLS = {
     "brute_force_primitive": dict(z_max=5),
     "construct": dict(partition=Partition(t=2, l=1, side=4)),
     "decompose_general": dict(a=3, b=4, c=5),
-    "ensure_side": dict(value=4),
+    "ensure_side": dict(value=4, name="side"),
     "enumerate_partitions": dict(side=30),
     "euclid_parametrization": dict(z_max=5),
     "factor_side": dict(side=30),

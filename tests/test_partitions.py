@@ -1,5 +1,6 @@
 """Side factorization and (t, l) split enumeration."""
 
+import random
 import time
 from array import array
 from itertools import combinations
@@ -82,11 +83,22 @@ class TestFactorSide:
             assert product == side
 
     def test_matches_independent_factorization(self):
-        for side in range(2, 2000, 2):
+        # Past the small sides, for the gcd that finds the primes up to 2^10: sides of
+        # 1021 (the last of them), 1031 (the first past them) and 3; cofactors at or
+        # past psi_13 until primes past 2^10 are divided out; random sides of 1 to 24 digits.
+        rng = random.Random(26)
+        sides = [*range(2, 2000, 2), 2 * 1031**2,
+                 2 * 3 * 1021 * 2003 * 65521 * sympy.prevprime(10**21),
+                 2 * 1031**3 * sympy.prevprime(PSI_13 // 10**9),
+                 2 * 5 * sympy.prevprime(40000) ** 2 * sympy.prevprime(10**16)]
+        sides += [2 * 3**a * 1021**b * 1031**c for a in (0, 1, 2, 9) for b in (0, 1, 3)
+                  for c in (0, 1, 2)]
+        sides += [2 * rng.randrange(10 ** (d - 1), 10**d) for d in range(1, 25) for _ in range(3)]
+        for side in sides:
             reference = sympy.factorint(side)
             reference.pop(2)
             # increasing odd primes, each exponent >= 1, exactly as sympy has them
-            assert factor_side(side) == tuple(sorted(reference.items()))
+            assert factor_side(side) == tuple(sorted(reference.items())), side
 
 
 class TestPartitionCount:

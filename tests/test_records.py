@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+import gnomon_triples
 from gnomon_triples import DiagramSpec, GeneralTriple, Gnomon, Partition, PrimitiveTriple
 
 TRIPLE = PrimitiveTriple(3, 4, 5)
@@ -107,6 +108,19 @@ def test_post_init_runs_once_per_construction(cls, names, values, text, monkeypa
     assert calls == [positional]
     keywords = cls(**dict(zip(names, values)))
     assert calls == [positional, keywords] and calls[1] is keywords
+
+
+@each_record
+def test_the_unchecked_maker_skips_only_the_check(cls, names, values, text, monkeypatch):
+    """``construct`` and a ``GeneralTriple``'s gnomons build through it; it is not exported."""
+    checked = cls(*values)
+    monkeypatch.setattr(cls, "__post_init__", None)  # a call would raise TypeError
+    made = cls._unchecked(*values)
+    assert type(made) is cls and made == checked and repr(made) == text
+    assert hash(made) == hash(checked) and cls._unchecked(**dict(zip(names, values))) == checked
+    with pytest.raises(AttributeError):
+        made.extra = 1
+    assert [name for name in gnomon_triples.__all__ if "unchecked" in name] == []
 
 
 @each_record

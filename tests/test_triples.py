@@ -38,6 +38,14 @@ class TestConstruct:
                 triple = construct(p)
                 assert triple.z == triple.x + triple.y - side
 
+    def test_a_triple_built_unchecked_passes_every_check(self):
+        # construct skips PrimitiveTriple's checks: a valid split's triple passes them
+        for side in range(2, 2001, 2):
+            for p in enumerate_partitions(side):
+                triple = construct(p)
+                assert type(triple) is PrimitiveTriple
+                assert triple == PrimitiveTriple(*triple.values())
+
 
 class TestPrimitiveTripleValidation:
     def test_rejects_non_triple(self):
