@@ -9,7 +9,6 @@ gnomon rectangles and checks that they cover exactly the paired square's area.
 import sys
 
 from .errors import SizeLimitError, ensure, record, require
-from .gnomons import scale
 from .triples import PrimitiveTriple
 
 KINDS = (
@@ -48,7 +47,8 @@ class DiagramSpec:
 
     def __post_init__(self) -> None:
         ensure("kind", self.kind, str)
-        scale(self.triple, self.scale_k)  # a PrimitiveTriple at a positive int scale
+        ensure("triple", self.triple, PrimitiveTriple)
+        ensure("scale_k", self.scale_k, int, 1)
         if self.kind not in KINDS:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
         unit_px = ensure("unit_px", self.unit_px, (int, float))

@@ -58,7 +58,7 @@ class GeneralTriple:
     scale: int
 
     def __post_init__(self) -> None:
-        ensure("triple", self.base, PrimitiveTriple)
+        ensure("base", self.base, PrimitiveTriple)
         ensure("scale", self.scale, int, 1)
 
     @property
@@ -88,7 +88,7 @@ class GeneralTriple:
 
 def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
     """Multiply every element of a primitive triple by the coefficient k."""
-    return GeneralTriple(base=triple, scale=k)
+    return GeneralTriple._unchecked(ensure("triple", triple, PrimitiveTriple), ensure("k", k, int, 1))
 
 
 # scale under its older name, kept because perfbench/ calls and wraps it.

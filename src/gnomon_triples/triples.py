@@ -63,11 +63,11 @@ def from_legs(a: int, b: int, c: int) -> PrimitiveTriple:
         first, second, z = sorted((a, b, c))
         if first % 2 < second % 2:
             first, second = second, first
-    except TypeError:  # a leg that is no int: name it
+        return PrimitiveTriple(first, second, z)
+    except (TypeError, ValueError):  # a leg that is no positive int: name it as it was passed
         for name, value in zip("abc", (a, b, c)):
-            ensure(name, value, int)
+            ensure(name, value, int, 1)
         raise
-    return PrimitiveTriple(first, second, z)
 
 
 def invert(a: int, b: int, c: int) -> Partition:
@@ -89,8 +89,8 @@ def decompose_general(a: int, b: int, c: int) -> tuple[int, Partition]:
     Returns (k, partition) where k is the common factor and the partition
     inverts the reduced primitive triple.
     """
-    for value in (a, b, c):
-        ensure("triple element", value, int, 1)
+    for name, value in zip("abc", (a, b, c)):
+        ensure(name, value, int, 1)
     k = gcd(gcd(a, b), c)
     return k, invert(a // k, b // k, c // k)
 

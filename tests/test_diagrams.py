@@ -1,19 +1,15 @@
 """Structural checks on the SVG output: counts and coordinates, not pixels."""
 
 import hashlib
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
-from gnomon_triples import diagrams
 from gnomon_triples.diagrams import KINDS, MAX_LATTICE_CELLS, MAX_SIDE_PX, DiagramSpec, render
 from gnomon_triples.errors import SizeLimitError
-from gnomon_triples.gnomons import scale
 from gnomon_triples.ordering import stream
 from gnomon_triples.triples import PrimitiveTriple
 
@@ -164,11 +160,8 @@ class TestRendering:
             "        continue\n"
             "    raise SystemExit(f'{kind} rendered a wrong area')\n"
         )
-        src = str(Path(diagrams.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
         )
         assert result.returncode == 0, result.stderr
 
@@ -188,27 +181,8 @@ class TestRendering:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             DiagramSpec("blueprint", T345)
-        with pytest.raises(ValueError):
-            DiagramSpec("lattice", T345, scale_k=0)
-        with pytest.raises(ValueError):
-            DiagramSpec("lattice", T345, unit_px=0)
         with pytest.raises(ValueError):  # an int too large for a float is not a finite unit
             render(DiagramSpec("lattice", T345, unit_px=10**400))
-        with pytest.raises(TypeError, match="GeneralTriple"):
-            DiagramSpec("square_gnomon_even", scale(T345, 2))
-        with pytest.raises(TypeError, match="tuple"):
-            DiagramSpec("lattice", (3, 4, 5))
-        # k must be an int, and a bool is not one
-        with pytest.raises(TypeError, match="float"):
-            render(DiagramSpec("lattice_regrouped", T345, scale_k=2.3, unit_px=1))
-        with pytest.raises(TypeError, match="float"):
-            render(DiagramSpec("lattice_regrouped", T345, scale_k=2.5))
-        with pytest.raises(TypeError, match="bool"):
-            DiagramSpec("lattice", T345, scale_k=True)
-        # unit_px must be an int or a float, and a bool is neither
-        for unit_px in (True, "10"):
-            with pytest.raises(TypeError, match="^unit_px must be an int or float, got "):
-                DiagramSpec("lattice", T345, unit_px=unit_px)
 
     def test_trailing_newline_and_no_float_noise(self):
         svg = render(DiagramSpec("square_gnomon_even", T345, unit_px=2.5))

@@ -2,8 +2,6 @@
 
 from math import gcd
 
-import pytest
-
 from gnomon_triples.oracle import brute_force_primitive, euclid_parametrization
 from gnomon_triples.ordering import stream
 from gnomon_triples.triples import PrimitiveTriple
@@ -47,15 +45,6 @@ def test_oracles_agree():
     # Every bound up to 130 crosses each m^2 + 1 edge of euclid's range of m up to m = 11.
     for z_max in (*range(5, 131), 2000):
         assert brute_force_primitive(z_max) == euclid_parametrization(z_max), z_max
-
-
-@pytest.mark.parametrize("oracle", [brute_force_primitive, euclid_parametrization])
-def test_bound_must_cover_a_triple(oracle):
-    with pytest.raises(ValueError):
-        oracle(4)
-    for z_max in (10.5, True):
-        with pytest.raises(TypeError, match="z_max must be an int"):
-            oracle(z_max)
 
 
 def test_split_to_euclid_pair_correspondence():

@@ -9,6 +9,7 @@ only in ``errors.ensure``, with no exception.
 import ast
 import inspect
 import re
+from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 
 import gnomon_triples
 from gnomon_triples import (
-    DiagramSpec, Gnomon, Partition, PrimitiveTriple, ensure_side, index_of, invert, scale, stream
+    DiagramSpec, Gnomon, Partition, PrimitiveTriple, brute_force_primitive, decompose_general,
+    ensure_side, euclid_parametrization, index_of, invert, render_row, render_table, scale, stream
 )
 from gnomon_triples.ordering import render_lines
 
@@ -190,22 +192,6 @@ def test_least_values_are_decided_only_in_ensure():
     assert compared == []
     assert worded == [("errors.py", "ensure")]
 
-
-@pytest.mark.parametrize(
-    "legs, message",
-    [
-        ((None, 4, 5), "a must be an int, got NoneType"),  # sorted fails
-        (("3", "4", "5"), "a must be an int, got str"),  # sorted passes, % fails
-        ((3, 4, [5]), "c must be an int, got list"),
-    ],
-)
-def test_a_leg_of_the_wrong_type_is_named(legs, message):
-    """``invert`` once leaked the unworded TypeError of ``sorted`` or ``%``."""
-    with pytest.raises(TypeError) as caught:
-        invert(*legs)
-    assert str(caught.value) == message
-
-
 ROW = index_of(T345)
 # One valid call of every public callable but TableRow (unchecked by design) and
 # the exception classes, by keyword.
@@ -234,7 +220,17 @@ VALID_CALLS = {
     "scale": dict(triple=T345, k=2),
     "stream": dict(from_s=2, to_s=30),
 }
-WRONG = (None, "3", 3.0, True, (3, 4, 5), T345, scale(T345, 2))
+WRONG = (None, "3", 3.0, True, 0, -1, (3, 4, 5), T345, scale(T345, 2))
+# The refusals worded otherwise, by how each begins and how many WRONG values reach it; the
+# list is closed.  ensure_side's value is named by its name argument, render_table names each
+# element of rows "row", and a kind or fmt str that is none of them is "unknown".
+WORDED_OTHERWISE = {
+    ("ensure_side", "value"): ("side must be ", 9),
+    ("render_table", "rows"): ("row must be a TableRow, got ", 2),
+    ("DiagramSpec", "kind"): ("unknown diagram kind '3', expected ", 1),
+    ("render_row", "fmt"): ("unknown table format '3', expected ", 1),
+    ("render_table", "fmt"): ("unknown table format '3', expected ", 1),
+}
 
 
 def _call(name, kwargs):
@@ -255,82 +251,78 @@ def test_the_sweep_covers_every_public_callable():
         _call(name, kwargs)
 
 
-def test_a_wrong_type_is_a_type_or_value_error():
-    """Each argument in turn gets each value; only a value of its own type may go through."""
-    offenders = []
-    for name, kwargs in VALID_CALLS.items():
-        for parameter, valid in kwargs.items():
-            for wrong in WRONG:
-                try:
-                    _call(name, {**kwargs, parameter: wrong})
-                except (TypeError, ValueError):
+@pytest.mark.parametrize("name", VALID_CALLS)
+def test_a_wrong_argument_is_refused_by_name(name):
+    """Each argument in turn gets each value; only a value of its own type, and no 0 or -1,
+    may go through.
+
+    The one argument rule: a refusal is a TypeError that begins "{parameter} must
+    be " and ends ", got {type name}", or such a ValueError that ends ", got
+    {value}".  Only WORDED_OTHERWISE says otherwise.
+    """
+    offenders, otherwise = [], Counter()
+    for parameter, valid in VALID_CALLS[name].items():
+        for wrong in WRONG:
+            try:
+                _call(name, {**VALID_CALLS[name], parameter: wrong})
+            except (TypeError, ValueError) as exc:
+                got = type(wrong).__name__ if isinstance(exc, TypeError) else wrong
+                text = str(exc)
+                if text.startswith(f"{parameter} must be ") and text.endswith(f", got {got}"):
                     continue
-                except Exception as exc:  # noqa: BLE001 - any other type is the failure
-                    offenders.append((name, parameter, wrong, type(exc).__name__))
+                if text.startswith(WORDED_OTHERWISE.get((name, parameter), ("\0",))[0]):
+                    otherwise[parameter] += 1
                     continue
-                if type(wrong) is not type(valid):
-                    offenders.append((name, parameter, wrong, "returned"))
+                offenders.append((parameter, wrong, text))
+            except Exception as exc:  # noqa: BLE001 - any other type is the failure
+                offenders.append((parameter, wrong, type(exc).__name__))
+            else:  # every int argument is at least 1
+                if type(wrong) is not type(valid) or wrong in (0, -1):
+                    offenders.append((parameter, wrong, "returned"))
     assert offenders == []
+    assert otherwise == {p: count for (n, p), (_, count) in WORDED_OTHERWISE.items() if n == name}
 
 
 @pytest.mark.parametrize(
-    "name, parameter, wrong, message",
+    "call, error, message",
     [
-        ("construct", "partition", T345, "partition must be a Partition, got PrimitiveTriple"),
-        ("render", "spec", T345, "spec must be a DiagramSpec, got PrimitiveTriple"),
-        ("overlap_terms", "pair", T345, "pair must be a GeneralTriple, got PrimitiveTriple"),
-        ("pair_progressions", "pair", T345, "pair must be a GeneralTriple, got PrimitiveTriple"),
-        ("render_row", "row", tuple(ROW), "row must be a TableRow, got tuple"),
-        ("render_table", "rows", [tuple(ROW)], "row must be a TableRow, got tuple"),
-        ("DiagramSpec", "kind", None, "kind must be a str, got NoneType"),
-        ("DiagramSpec", "kind", 3, "kind must be a str, got int"),
-        ("DiagramSpec", "kind", ["lattice"], "kind must be a str, got list"),
-        ("render_row", "fmt", None, "fmt must be a str, got NoneType"),
-        ("render_row", "fmt", 3, "fmt must be a str, got int"),
-        ("render_row", "fmt", ["tsv"], "fmt must be a str, got list"),
-        ("render_table", "fmt", None, "fmt must be a str, got NoneType"),
-        ("render_table", "fmt", 3, "fmt must be a str, got int"),
-        ("render_table", "fmt", ["tsv"], "fmt must be a str, got list"),
-        ("render_table", "rows", 3, "rows must be an Iterable, got int"),
-        ("render_table", "rows", None, "rows must be an Iterable, got NoneType"),
-        ("DiagramSpec", "unit_px", "10", "unit_px must be an int or float, got str"),
-        ("DiagramSpec", "unit_px", None, "unit_px must be an int or float, got NoneType"),
+        # inputs the sweep does not make, each refused by the rule alone
+        (lambda: invert("3", "4", "5"), TypeError, "a must be an int, got str"),  # sorted passes
+        (lambda: invert(3, 4, [5]), TypeError, "c must be an int, got list"),
+        (lambda: invert(5.0, 4, 3), TypeError, "a must be an int, got float"),  # sorted to z
+        (lambda: PrimitiveTriple(0, 1, 1), ValueError, "x must be at least 1, got 0"),
+        (lambda: PrimitiveTriple(1, 0, 1), ValueError, "y must be at least 1, got 0"),
+        (lambda: decompose_general(0, 0, 0), ValueError, "a must be at least 1, got 0"),
+        (lambda: Partition(-1, -1, 2), ValueError, "t must be at least 1, got -1"),
+        (lambda: Partition(True, 1, 2), TypeError, "t must be an int, got bool"),
+        (lambda: Partition(1, True, 2), TypeError, "l must be an int, got bool"),
+        (lambda: Partition(1.0, 1, 2), TypeError, "t must be an int, got float"),
+        (lambda: Partition(1, 1, 2.0), TypeError, "side must be an int, got float"),
+        (lambda: ensure_side(2.0), TypeError, "side must be an int, got float"),
+        (lambda: Gnomon(6, 5), ValueError, "side_length must be at least 6, got 5"),
+        (lambda: brute_force_primitive(4), ValueError, "z_max must be at least 5, got 4"),
+        (lambda: euclid_parametrization(4), ValueError, "z_max must be at least 5, got 4"),
+        (lambda: next(stream(3, 10)), ValueError, "from_s must be a positive even integer, got 3"),
+        (lambda: next(stream(2, 7)), ValueError, "to_s must be a positive even integer, got 7"),
+        (lambda: next(stream(10, 2)), ValueError, "to_s must be at least 10, got 2"),
+        (lambda: next(stream(30, 4)), ValueError, "to_s must be at least 30, got 4"),
+        (lambda: next(render_lines(30, 4, "tsv")), ValueError, "to_s must be at least 30, got 4"),
+        (lambda: render_row(tuple(ROW), "tsv"), TypeError, "row must be a TableRow, got tuple"),
+        (lambda: render_table([tuple(ROW)]), TypeError, "row must be a TableRow, got tuple"),
+        (lambda: DiagramSpec(["lattice"], T345), TypeError, "kind must be a str, got list"),
+        (lambda: render_row(ROW, ["tsv"]), TypeError, "fmt must be a str, got list"),
+        (lambda: render_table([ROW], ["tsv"]), TypeError, "fmt must be a str, got list"),
+        # the sweep's inputs, for what it checks only in part: ensure_side's message, and
+        # the kinds ensure words with "an" or "or"
+        (lambda: ensure_side(0), ValueError, "side must be at least 2, got 0"),
+        (lambda: render_table(3), TypeError, "rows must be an Iterable, got int"),
+        (lambda: DiagramSpec("lattice", T345, unit_px="10"), TypeError,
+         "unit_px must be an int or float, got str"),
     ],
-    ids=["construct", "render", "overlap_terms", "pair_progressions", "render_row", "render_table",
-         "DiagramSpec-kind-None", "DiagramSpec-kind-int", "DiagramSpec-kind-list",
-         "render_row-fmt-None", "render_row-fmt-int", "render_row-fmt-list",
-         "render_table-fmt-None", "render_table-fmt-int", "render_table-fmt-list",
-         "render_table-rows-int", "render_table-rows-None",
-         "DiagramSpec-unit_px-str", "DiagramSpec-unit_px-None"],
 )
-def test_a_record_argument_of_the_wrong_type_is_named(name, parameter, wrong, message):
-    """The first six once leaked AttributeError; ``render_table`` names each of its rows.
-
-    A ``kind`` or ``fmt`` that is no str was once an "unknown" ValueError, or
-    an unhashable-type TypeError that did not name it.  ``rows`` that are not
-    iterable once leaked "'int' object is not iterable".
-    """
-    with pytest.raises(TypeError) as caught:
-        _call(name, {**VALID_CALLS[name], parameter: wrong})
-    assert str(caught.value) == message
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: Gnomon(6, 5), "side_length must be at least 6, got 5"),
-        (lambda: next(stream(30, 4)), "to_s must be at least 30, got 4"),
-        (lambda: next(render_lines(30, 4, "tsv")), "to_s must be at least 30, got 4"),
-        (lambda: ensure_side(0), "side must be at least 2, got 0"),
-    ],
-    ids=["Gnomon", "stream", "render_lines", "ensure_side"],
-)
-def test_a_value_below_its_least_is_named(call, message):
-    """``thickness`` bounds ``side_length`` and ``from_s`` bounds ``to_s``, through ``ensure``.
-
-    They once raised "thickness 6 exceeds side_length 5" and "empty side range:
-    30 > 4"; a side below 2 once raised the odd side's "positive even" message.
-    """
-    with pytest.raises(ValueError) as caught:
+def test_a_refused_argument_is_named(call, error, message):
+    """Each message in full.  A leg is named by its place in the call, not once sorted;
+    ``thickness`` bounds ``side_length`` and ``from_s`` bounds ``to_s`` through ``ensure``."""
+    with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message

@@ -62,17 +62,6 @@ class TestPrimitiveTripleValidation:
             PrimitiveTriple(6, 8, 10)
         assert isinstance(exc.value, ValueError)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PrimitiveTriple(-3, 4, 5)
-        # a zero is refused as not positive, not by a later check; (1, 0, 1) passes them all
-        for zeros, name in [((0, 1, 1), "x"), ((1, 0, 1), "y"), ((3, 4, 0), "z")]:
-            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
-                PrimitiveTriple(*zeros)
-        for legs, name in (((3, 4, 5.0), "z"), ((3.0, 4, 5), "x")):
-            with pytest.raises(TypeError, match=f"{name} must be an int"):
-                PrimitiveTriple(*legs)
-
 
 class TestInvert:
     def test_smallest_triple(self):
@@ -101,12 +90,6 @@ class TestInvert:
         # legs of one parity are named smaller first, as the CLI's error line shows
         with pytest.raises(NotATripleError, match=r"^3\^2 \+ 5\^2 != 7\^2$"):
             invert(7, 5, 3)
-
-    def test_nonpositive_is_rejected(self):
-        with pytest.raises(ValueError):
-            invert(0, 4, 5)
-        with pytest.raises(TypeError, match="z must be an int"):
-            invert(5.0, 4, 3)
 
     def test_invalid_split_is_malformed(self, monkeypatch):
         # The Partition constructor is invert's one post-condition; l = 2 is even.
@@ -144,13 +127,6 @@ class TestDecomposeGeneral:
     def test_non_triple_is_rejected(self):
         with pytest.raises(NotATripleError):
             decompose_general(2, 4, 6)
-
-    def test_zero_triple_is_rejected(self):
-        # Without the positivity check, k = gcd(0, 0, 0) = 0 divides by zero.
-        with pytest.raises(ValueError):
-            decompose_general(0, 0, 0)
-        with pytest.raises(TypeError, match="triple element must be an int"):
-            decompose_general(6.0, 8, 10)
 
     def test_round_trip_with_scale(self):
         for side in range(2, 200, 2):
