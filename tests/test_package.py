@@ -253,8 +253,7 @@ def test_the_sweep_covers_every_public_callable():
 
 @pytest.mark.parametrize("name", VALID_CALLS)
 def test_a_wrong_argument_is_refused_by_name(name):
-    """Each argument in turn gets each value; only a value of its own type, and no 0 or -1,
-    may go through.
+    """Each argument in turn gets each value; only its own type, never 0 or -1, goes through.
 
     The one argument rule: a refusal is a TypeError that begins "{parameter} must
     be " and ends ", got {type name}", or such a ValueError that ends ", got
