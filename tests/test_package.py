@@ -204,7 +204,7 @@ VALID_CALLS = {
     "brute_force_primitive": dict(z_max=5),
     "construct": dict(partition=Partition(t=2, l=1, side=4)),
     "decompose_general": dict(a=3, b=4, c=5),
-    "ensure_side": dict(value=4, name="side"),
+    "ensure_side": dict(value=4, name="value"),
     "enumerate_partitions": dict(side=30),
     "euclid_parametrization": dict(z_max=5),
     "factor_side": dict(side=30),
@@ -222,10 +222,9 @@ VALID_CALLS = {
 }
 WRONG = (None, "3", 3.0, True, 0, -1, (3, 4, 5), T345, scale(T345, 2))
 # The refusals worded otherwise, by how each begins and how many WRONG values reach it; the
-# list is closed.  ensure_side's value is named by its name argument, render_table names each
-# element of rows "row", and a kind or fmt str that is none of them is "unknown".
+# list is closed.  render_table names each element of rows "row", and a kind or fmt str that
+# is none of them is "unknown".  (ensure_side names its value by its name argument, here "value".)
 WORDED_OTHERWISE = {
-    ("ensure_side", "value"): ("side must be ", 9),
     ("render_table", "rows"): ("row must be a TableRow, got ", 2),
     ("DiagramSpec", "kind"): ("unknown diagram kind '3', expected ", 1),
     ("render_row", "fmt"): ("unknown table format '3', expected ", 1),
@@ -256,8 +255,8 @@ def test_a_wrong_argument_is_refused_by_name(name):
     """Each argument in turn gets each value; only its own type, never 0 or -1, goes through.
 
     The one argument rule: a refusal is a TypeError that begins "{parameter} must
-    be " and ends ", got {type name}", or such a ValueError that ends ", got
-    {value}".  Only WORDED_OTHERWISE says otherwise.
+    be " and ends ", got {type name}", or, for an int too small, such a ValueError
+    that ends ", got {value}".  Only WORDED_OTHERWISE says otherwise.
     """
     offenders, otherwise = [], Counter()
     for parameter, valid in VALID_CALLS[name].items():
@@ -265,9 +264,11 @@ def test_a_wrong_argument_is_refused_by_name(name):
             try:
                 _call(name, {**VALID_CALLS[name], parameter: wrong})
             except (TypeError, ValueError) as exc:
-                got = type(wrong).__name__ if isinstance(exc, TypeError) else wrong
-                text = str(exc)
-                if text.startswith(f"{parameter} must be ") and text.endswith(f", got {got}"):
+                sized = isinstance(exc, ValueError)  # only 0 and -1 may be refused by size
+                got, text = wrong if sized else type(wrong).__name__, str(exc)
+                if (type(wrong) is int or not sized) and text.startswith(
+                    f"{parameter} must be "
+                ) and text.endswith(f", got {got}"):
                     continue
                 if text.startswith(WORDED_OTHERWISE.get((name, parameter), ("\0",))[0]):
                     otherwise[parameter] += 1
@@ -301,6 +302,8 @@ def test_a_wrong_argument_is_refused_by_name(name):
         (lambda: Gnomon(6, 5), ValueError, "side_length must be at least 6, got 5"),
         (lambda: brute_force_primitive(4), ValueError, "z_max must be at least 5, got 4"),
         (lambda: euclid_parametrization(4), ValueError, "z_max must be at least 5, got 4"),
+        (lambda: brute_force_primitive(10.5), TypeError, "z_max must be an int, got float"),
+        (lambda: euclid_parametrization(10.5), TypeError, "z_max must be an int, got float"),
         (lambda: next(stream(3, 10)), ValueError, "from_s must be a positive even integer, got 3"),
         (lambda: next(stream(2, 7)), ValueError, "to_s must be a positive even integer, got 7"),
         (lambda: next(stream(10, 2)), ValueError, "to_s must be at least 10, got 2"),
@@ -311,7 +314,7 @@ def test_a_wrong_argument_is_refused_by_name(name):
         (lambda: DiagramSpec(["lattice"], T345), TypeError, "kind must be a str, got list"),
         (lambda: render_row(ROW, ["tsv"]), TypeError, "fmt must be a str, got list"),
         (lambda: render_table([ROW], ["tsv"]), TypeError, "fmt must be a str, got list"),
-        # the sweep's inputs, for what it checks only in part: ensure_side's message, and
+        # the sweep's inputs, for what it checks only in part: ensure_side's default name, and
         # the kinds ensure words with "an" or "or"
         (lambda: ensure_side(0), ValueError, "side must be at least 2, got 0"),
         (lambda: render_table(3), TypeError, "rows must be an Iterable, got int"),
