@@ -79,11 +79,13 @@ class GeneralTriple:
     # Unchecked: the legs of a valid triple give 1 <= z - y, z - x < z.
     @property
     def odd_gnomon(self) -> Gnomon:
-        return Gnomon._unchecked(self.z - self.y, self.z)
+        k, base = self.scale, self.base
+        return Gnomon._unchecked(k * (base.z - base.y), k * base.z)
 
     @property
     def even_gnomon(self) -> Gnomon:
-        return Gnomon._unchecked(self.z - self.x, self.z)
+        k, base = self.scale, self.base
+        return Gnomon._unchecked(k * (base.z - base.x), k * base.z)
 
 
 def scale(triple: PrimitiveTriple, k: int = 1) -> GeneralTriple:
@@ -107,6 +109,7 @@ def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:
     with fewer terms coincides with the tail of the other.  Returns
     (shared terms as a range, longer gnomon, shorter gnomon).
     """
-    odd, even = pair_progressions(pair)
+    ensure("pair", pair, GeneralTriple)
+    odd, even = pair.odd_gnomon, pair.even_gnomon
     longer, shorter = (odd, even) if odd.thickness > even.thickness else (even, odd)
     return shorter.terms(), longer, shorter

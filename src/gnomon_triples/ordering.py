@@ -44,23 +44,24 @@ class TableRow(namedtuple("TableRow", "n1 n2 s t l x y z")):
         return PrimitiveTriple(self.x, self.y, self.z)
 
 
-def _rows(from_s: int, to_s: int, first: Callable, later: Callable) -> Iterator:
-    """first(row) for each side's first split, later(row) for the rest; lazy, side by side."""
+def _rows(from_s: int, to_s: int, first: Callable, later: Callable, convert: Callable) -> Iterator:
+    """first(row) for each side's first split, later(row) for the rest, lazily; rows carry
+    n1 = convert(S/2) and s = convert(S), made once per side: str for render_lines, and int
+    for stream, since int returns an int as it is and a TableRow stays all int."""
     for side, odd_powers in factor_window(from_s, to_s):
-        half = side // 2
-        make = first
+        n1, s, make = convert(half := side // 2), convert(side), first
         for rank, l in enumerate(odd_parts(odd_powers), start=1):
             t = half // l
             x = side + l * l
             y = side + 2 * t * t
-            yield make((half, rank, side, t, l, x, y, x + y - side))
+            yield make((n1, rank, s, t, l, x, y, x + y - side))
             make = later
 
 
 def stream(from_s: int, to_s: int) -> Iterator[TableRow]:
     """Rows for all sides in [from_s, to_s], ordered by (N, n); lazy, each built in C."""
     make = MethodType(tuple.__new__, TableRow)  # tuple.__new__(TableRow, row), in C
-    return _rows(from_s, to_s, make, make)
+    return _rows(from_s, to_s, make, make, int)
 
 
 def index_of(triple: PrimitiveTriple) -> TableRow:
@@ -99,4 +100,4 @@ def render_table(rows: Iterable[TableRow], fmt: str = "appendix") -> str:
 def render_lines(from_s: int, to_s: int, fmt: str) -> Iterator[str]:
     """stream(from_s, to_s) as lines in fmt, formatted in its row loop; fmt is checked here."""
     first, later = _templates(fmt)
-    return _rows(from_s, to_s, first.__mod__, later.__mod__)
+    return _rows(from_s, to_s, first.__mod__, later.__mod__, str)

@@ -233,7 +233,8 @@ def odd_parts(odd_powers: Iterable[tuple[int, int]]) -> list[int]:
     ls = [1]
     for prime, exponent in odd_powers:
         atom = prime**exponent
-        ls += [l * atom for l in ls]
+        for l in tuple(ls):  # a loop, not a comprehension: no frame per prime before 3.12
+            ls.append(l * atom)
     ls.sort(reverse=True)
     return ls
 

@@ -93,8 +93,10 @@ def reference_line(row: TableRow, fmt: str) -> str:
 @pytest.mark.parametrize("from_s,to_s", [(2, 4000), (10**12 + 2, 10**12 + 400)])
 def test_rows_are_constructed_and_render_as_written_out(from_s, to_s):
     # Past the golden file (S <= 100), one dense range and one far window of 200 sides.
+    # n1 and s are converted once per side; the text path's strings never reach a row.
     sides = set()
     for row in stream(from_s, to_s):
+        assert type(row.n1) is int and type(row.s) is int
         sides.add(row.s)
         assert row.triple == construct(row.partition)
         for fmt in TABLE_FORMATS:

