@@ -109,7 +109,6 @@ def overlap_terms(pair: GeneralTriple) -> tuple[range, Gnomon, Gnomon]:
     with fewer terms coincides with the tail of the other.  Returns
     (shared terms as a range, longer gnomon, shorter gnomon).
     """
-    ensure("pair", pair, GeneralTriple)
-    odd, even = pair.odd_gnomon, pair.even_gnomon
+    odd, even = ensure("pair", pair, GeneralTriple).odd_gnomon, pair.even_gnomon
     longer, shorter = (odd, even) if odd.thickness > even.thickness else (even, odd)
     return shorter.terms(), longer, shorter

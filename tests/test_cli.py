@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import importlib
 import io
 import json
@@ -414,6 +415,18 @@ finally:
 """
 
 
+# Runs the CLI and then writes to stderr how many objects the collector has frozen.
+FREEZING_CHILD = """\
+import gc, sys
+from gnomon_triples import cli
+
+try:
+    cli.entry_point()
+finally:
+    sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n")
+"""
+
+
 def counted_child(*argv):
     # -B: no bytecode-cache writes to count.
     return [sys.executable, "-B", "-c", COUNTING_CHILD, *argv]
@@ -531,6 +544,57 @@ class TestUsage:
         )
         assert result.returncode == 1
         assert result.stderr == f"error: {os.strerror(errno.EBADF)}: <stdout>\n"
+
+    @staticmethod
+    def _frozen_run(argv, **kwargs):
+        """(exit code, stdout, stderr without the child's last line, objects frozen)."""
+        result = subprocess.run([sys.executable, "-c", FREEZING_CHILD, *argv],
+                                stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+        err, _, frozen = result.stderr.rpartition("frozen ")
+        return result.returncode, result.stdout, err, int(frozen)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["table", "--to-s", "100"], 0), (["invert", "6", "8", "10"], 1),
+         (["table", "--to-s", "7"], 2), (["--help"], 0)],
+        ids=["table", "domain-error", "usage-error", "help"],
+    )
+    def test_the_process_ends_with_the_collector_frozen(self, capsys, monkeypatch, argv, code,
+                                                        golden_table_text):
+        """The child's output is main()'s in this process; only shutdown's collections go."""
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps alike in both processes
+        got, out, err, frozen = self._frozen_run(argv, stdout=subprocess.PIPE)
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert frozen > 0
+        assert (got, out, err) == (code, *capsys.readouterr())
+        if code == 0 and argv[0] == "table":
+            assert out == golden_table_text
+
+    @pytest.mark.parametrize("at_start", [True, False], ids=["at-start", "by-its-reader"])
+    def test_a_closed_stdout_ends_with_the_collector_frozen(self, at_start):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err, frozen = self._frozen_run(
+                ["table", "--to-s", "100"], stdout=write_end,
+                preexec_fn=(lambda: os.close(1)) if at_start else None,
+            )
+        finally:
+            os.close(write_end)
+        assert (code, err) == (1, f"error: {os.strerror(errno.EBADF)}: <stdout>\n" * at_start)
+        assert frozen > 0
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        """Tests, the fuzz guard and the benchmark's traced pass call main() many times."""
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "invert", "3", "4", "5")[0] == 0
+        assert run_cli(capsys, "invert", "6", "8", "10")[0] == 1
+        with pytest.raises(SystemExit):
+            main(["table", "--to-s", "7"])
+        assert gc.get_freeze_count() == before
 
     def test_rows_before_a_domain_error_come_out_first(self, capsys, monkeypatch):
         # With the bound lowered to 10^11, the third side, 4 * 3 * 166666666667,

@@ -137,6 +137,26 @@ def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
+def _carries_check(node) -> bool:
+    """Whether node is a check call or computed from one (``ensure_side(s) // 2``); an
+    attribute or item of one (``ensure(...).odd_gnomon``) is another object."""
+    if isinstance(node, (ast.Attribute, ast.Subscript)):
+        return False
+    return _is_check(node) or any(map(_carries_check, ast.iter_child_nodes(node)))
+
+
+def _checked_targets(assign) -> set[str]:
+    """The names an assignment binds from a check; a tuple's targets, each from its own element."""
+    found, pairs = set(), [(target, assign.value) for target in assign.targets]
+    while pairs:
+        target, value = pairs.pop()
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            pairs += zip(target.elts, value.elts)
+        elif _carries_check(value):
+            found |= _names(target)
+    return found
+
+
 def _hand_written_bounds(tree) -> list[tuple[str, int]]:
     """(def, line) of each order comparison of a name that a def checked with ``ensure``
     or ``ensure_side`` (bound from one, or handed to one as its value) with another argument."""
@@ -146,8 +166,8 @@ def _hand_written_bounds(tree) -> list[tuple[str, int]]:
             continue
         checked = set()
         for node in ast.walk(function):
-            if isinstance(node, ast.Assign) and any(map(_is_check, ast.walk(node.value))):
-                checked |= set().union(*map(_names, node.targets))
+            if isinstance(node, ast.Assign):
+                checked |= _checked_targets(node)
             value = node.args[node.func.id == "ensure"] if _is_check(node) else None
             if isinstance(value, ast.Name):  # ensure checks its second argument
                 checked.add(value.id)
@@ -191,6 +211,26 @@ def test_least_values_are_decided_only_in_ensure():
                     worded.append((path.name, scope))
     assert compared == []
     assert worded == [("errors.py", "ensure")]
+
+
+@pytest.mark.parametrize(
+    "body, flagged",
+    [
+        ("n = ensure('a', a, int)\n    return n < b", True),
+        ("half = ensure_side(a) // 2\n    return half < b", True),
+        # an attribute of a checked value is another object, and bounds no argument
+        ("odd, even = ensure('a', a, G).odd_gnomon, a.even_gnomon\n"
+         "    return odd.thickness > even.thickness, odd.thickness > b", False),
+        ("x, b = ensure('a', a, int), b\n    return x < b", True),
+        # a tuple's target is checked only by its own element
+        ("x, y = ensure_side(a), b + 1\n    return y > b", False),
+    ],
+    ids=["direct", "arithmetic", "attribute", "tuple-own-element", "tuple-other-element"],
+)
+def test_the_least_value_guard_follows_what_a_check_binds(body, flagged):
+    tree = ast.parse(f"def f(a, b):\n    {body}\n")
+    assert _hand_written_bounds(tree) == ([("f", 3)] if flagged else [])
+
 
 ROW = index_of(T345)
 # One valid call of every public callable but TableRow (unchecked by design) and
