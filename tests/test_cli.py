@@ -36,44 +36,33 @@ def run_cli(capsys, *argv):
 
 
 class TestInvert:
-    def test_tablet_triple(self, capsys):
-        code, out, err = run_cli(capsys, "invert", "4961", "6480", "8161")
-        assert code == 0
-        assert out == "S=3280 t=40 l=41\n"
-        assert err == ""
+    @pytest.mark.parametrize("argv, out", [
+        (["4961", "6480", "8161"], "S=3280 t=40 l=41\n"),
+        (["8161", "4961", "6480"], "S=3280 t=40 l=41\n"),  # leg order does not matter
+        (["6", "8", "10", "--general"], "k=2 S=2 t=1 l=1\n"),  # the gcd divided out
+    ], ids=["tablet", "any-leg-order", "general"])
+    def test_prints_the_split(self, capsys, argv, out):
+        assert run_cli(capsys, "invert", *argv) == (0, out, "")
 
-    def test_leg_order_does_not_matter(self, capsys):
-        code, out, _ = run_cli(capsys, "invert", "8161", "4961", "6480")
-        assert code == 0
-        assert out == "S=3280 t=40 l=41\n"
-
-    def test_non_primitive_is_a_domain_error(self, capsys):
-        code, out, err = run_cli(capsys, "invert", "6", "8", "10")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: not-primitive:")
-
-    def test_general_divides_out_the_gcd(self, capsys):
-        code, out, _ = run_cli(capsys, "invert", "6", "8", "10", "--general")
-        assert code == 0
-        assert out == "k=2 S=2 t=1 l=1\n"
-
-    def test_not_a_triple(self, capsys):
-        code, _, err = run_cli(capsys, "invert", "3", "4", "6")
-        assert code == 1
-        assert err.startswith("error: not-a-triple:")
+    @pytest.mark.parametrize("legs, error", [(["6", "8", "10"], "not-primitive"),
+                                             (["3", "4", "6"], "not-a-triple")])
+    def test_a_domain_error_is_exit_one(self, capsys, legs, error):
+        code, out, err = run_cli(capsys, "invert", *legs)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {error}:")
 
 
 class TestTable:
-    def test_small_table(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--to-s", "6")
-        assert code == 0
-        assert out == (
-            "1.1\t2\t1\t1\t3\t4\t5\n"
-            "2.1\t4\t2\t1\t5\t12\t13\n"
-            "3.1\t6\t1\t3\t15\t8\t17\n"
-            "3.2\t\t3\t1\t7\t24\t25\n"
-        )
+    @pytest.mark.parametrize("argv, out", [
+        (["table", "--to-s", "6"], "1.1\t2\t1\t1\t3\t4\t5\n"
+                                   "2.1\t4\t2\t1\t5\t12\t13\n"
+                                   "3.1\t6\t1\t3\t15\t8\t17\n"
+                                   "3.2\t\t3\t1\t7\t24\t25\n"),
+        # enumerate's range starts at side 2 by default
+        (["enumerate", "--to-s", "4"], "1.1\t2\t1\t1\t3\t4\t5\n2.1\t4\t2\t1\t5\t12\t13\n"),
+    ], ids=["table", "enumerate"])
+    def test_small_output(self, capsys, argv, out):
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_full_reference_table(self, capsys, golden_table_text):
         code, out, _ = run_cli(capsys, "table", "--to-s", "100")
@@ -84,11 +73,6 @@ class TestTable:
         _, first, _ = run_cli(capsys, "table", "--to-s", "40")
         _, second, _ = run_cli(capsys, "table", "--to-s", "40")
         assert first == second
-
-    def test_odd_side_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--to-s", "7"])
-        assert exc.value.code == 2
 
 
 class TestEnumerate:
@@ -110,11 +94,6 @@ class TestEnumerate:
         assert records[3] == {
             "n1": 15, "n2": 4, "s": 30, "t": 15, "l": 1, "x": 31, "y": 480, "z": 481,
         }
-
-    def test_default_range_starts_at_two(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--to-s", "4")
-        assert code == 0
-        assert out.splitlines() == ["1.1\t2\t1\t1\t3\t4\t5", "2.1\t4\t2\t1\t5\t12\t13"]
 
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     def test_output_matches_render_table(self, capsys, fmt):
@@ -158,27 +137,29 @@ class TestEnumerate:
         assert len(err.splitlines()) == 1
 
 
-class TestGnomon:
-    @pytest.mark.parametrize("legs", [("3", "4", "5"), ("5", "4", "3")])
-    def test_smallest_triple(self, capsys, legs):
-        code, out, _ = run_cli(capsys, "gnomon", *legs)
-        assert code == 0
-        assert out == (
-            "T1=1 T2=2 L=5\n"
-            "progression_x2: first=9 count=1 last=9 sum=9\n"
-            "progression_y2: first=7 count=2 last=9 sum=16\n"
-            "shared_suffix: first=9 count=1 last=9\n"
-        )
+SMALLEST_PAIR = (
+    "T1=1 T2=2 L=5\n"
+    "progression_x2: first=9 count=1 last=9 sum=9\n"
+    "progression_y2: first=7 count=2 last=9 sum=16\n"
+    "shared_suffix: first=9 count=1 last=9\n"
+)
 
-    def test_scaled(self, capsys):
-        code, out, _ = run_cli(capsys, "gnomon", "3", "4", "5", "--k", "4")
-        assert code == 0
-        assert out == (
-            "T1=4 T2=8 L=20\n"
-            "progression_x2: first=33 count=4 last=39 sum=144\n"
-            "progression_y2: first=25 count=8 last=39 sum=256\n"
-            "shared_suffix: first=33 count=4 last=39\n"
-        )
+
+class TestGnomon:
+    @pytest.mark.parametrize("argv, out", [
+        (["gnomon", "3", "4", "5"], SMALLEST_PAIR),
+        (["gnomon", "5", "4", "3"], SMALLEST_PAIR),
+        (["gnomon", "3", "4", "5", "--k", "4"],
+         "T1=4 T2=8 L=20\n"
+         "progression_x2: first=33 count=4 last=39 sum=144\n"
+         "progression_y2: first=25 count=8 last=39 sum=256\n"
+         "shared_suffix: first=33 count=4 last=39\n"),
+        (["scale", "15", "8", "17", "3"], "k=3 x=45 y=24 z=51\nT1=27 T2=6 L=51\n"),
+        (["scale", "17", "8", "15", "3"], "k=3 x=45 y=24 z=51\nT1=27 T2=6 L=51\n"),
+        (["scale", "3", "4", "5", "1"], "k=1 x=3 y=4 z=5\nT1=1 T2=2 L=5\n"),
+    ], ids=["smallest", "smallest-any-order", "scaled", "scale", "scale-any-order", "scale-one"])
+    def test_prints_the_pair(self, capsys, argv, out):
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_suffix_longer_than_sys_maxsize(self, capsys):
         code, out, _ = run_cli(capsys, "gnomon", "3", "4", "5", "--k", "99999999999999999999")
@@ -217,19 +198,6 @@ class TestGnomon:
             monkeypatch.setattr(cls, "__post_init__", counted)
         assert run_cli(capsys, *argv)[0] == 0
         assert checks == {PrimitiveTriple: 1, Partition: 0}
-
-
-class TestScale:
-    @pytest.mark.parametrize("legs", [("15", "8", "17"), ("17", "8", "15")])
-    def test_scale_by_three(self, capsys, legs):
-        code, out, _ = run_cli(capsys, "scale", *legs, "3")
-        assert code == 0
-        assert out == "k=3 x=45 y=24 z=51\nT1=27 T2=6 L=51\n"
-
-    def test_identity(self, capsys):
-        code, out, _ = run_cli(capsys, "scale", "3", "4", "5", "1")
-        assert code == 0
-        assert out == "k=1 x=3 y=4 z=5\nT1=1 T2=2 L=5\n"
 
 
 class TestVerify:
@@ -328,15 +296,6 @@ class TestDiagram:
         assert code == 0
         assert 'width="100"' in out_path.read_text(encoding="utf-8")
 
-    def test_non_primitive_triple_fails(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "diagram", "--kind", "lattice", "--triple", "6,8,10",
-            "--out", str(tmp_path / "x.svg"),
-        )
-        assert code == 1
-        assert err.startswith("error: not-primitive:")
-        assert not (tmp_path / "x.svg").exists()
-
     def test_oversized_rendering_fails_cleanly(self, capsys, tmp_path):
         # past the pixel cap, past the lattice cell cap at only 5 px, and a
         # frame of 5*10^320 units, past the range of a float (at 5e-324 px
@@ -382,54 +341,8 @@ class TestDiagram:
         assert captured.err.startswith(err_start)
         assert not out_path.exists()
 
-    def test_bad_kind_is_a_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["diagram", "--kind", "mural", "--triple", "3,4,5",
-                  "--out", str(tmp_path / "x.svg")])
-        assert exc.value.code == 2
-
-    def test_malformed_triple_argument_is_a_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["diagram", "--kind", "lattice", "--triple", "3,4",
-                  "--out", str(tmp_path / "x.svg")])
-        assert exc.value.code == 2
-
 
 HAVE_PROC_IO = os.path.exists("/proc/self/io")
-# Runs the CLI and then writes to stderr how many write(2) calls it made.
-COUNTING_CHILD = """\
-import os, sys
-from gnomon_triples import cli
-
-def syscw():
-    if not os.path.exists("/proc/self/io"):
-        return 0
-    with open("/proc/self/io") as io:
-        return int(dict(line.split(":") for line in io)["syscw"])
-
-before = syscw()
-try:
-    cli.entry_point()
-finally:
-    sys.stderr.write(f"syscw {syscw() - before}\\n")
-"""
-
-
-# Runs the CLI and then writes to stderr how many objects the collector has frozen.
-FREEZING_CHILD = """\
-import gc, sys
-from gnomon_triples import cli
-
-try:
-    cli.entry_point()
-finally:
-    sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n")
-"""
-
-
-def counted_child(*argv):
-    # -B: no bytecode-cache writes to count.
-    return [sys.executable, "-B", "-c", COUNTING_CHILD, *argv]
 
 
 def child_env(unbuffered):
@@ -437,11 +350,33 @@ def child_env(unbuffered):
     return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
+@pytest.fixture(scope="module")
+def table_to_50000():
+    return render_table(stream(2, 50_000))
+
+
+@pytest.fixture(scope="module")
+def imported_by_a_run(run_child):
+    """The modules that a run of ``invert 3 4 5`` imports, with no site hook."""
+    code, _, err, _, _ = run_child("invert", "3", "4", "5", flags=("-S", "-X", "importtime"))
+    assert code == 0
+    # Each line after the header names one module, indented by its depth.
+    return {line.rpartition("|")[2].strip() for line in err.splitlines()[1:]}
+
+
 class TestUsage:
-    def test_missing_subcommand(self):
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["table", "--to-s", "7"],
+        ["diagram", "--kind", "mural", "--triple", "3,4,5", "--out", "x.svg"],
+        ["diagram", "--kind", "lattice", "--triple", "3,4", "--out", "x.svg"],
+    ], ids=["no-subcommand", "odd-side", "bad-kind", "malformed-triple"])
+    def test_usage_error_is_exit_two(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main([])
+            main(argv)
         assert exc.value.code == 2
+        assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("command", ["invert", "gnomon", "scale"])
     def test_leg_arguments_show_in_help_and_errors(self, capsys, command):
@@ -514,44 +449,31 @@ class TestUsage:
         ],
         ids=["table", "table-20000", "invert", "verify", "help", "table-help"],
     )
-    def test_failed_stdout_write_is_one_error_line(self, argv):
+    def test_failed_stdout_write_is_one_error_line(self, run_child, argv):
         with open("/dev/full", "wb") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "gnomon_triples", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-            )
-        assert result.returncode == 1
-        assert result.stderr == f"error: {os.strerror(errno.ENOSPC)}: <stdout>\n"
+            code, _, err, _, _ = run_child(*argv, stdout=full)
+        assert (code, err) == (1, f"error: {os.strerror(errno.ENOSPC)}: <stdout>\n")
 
-    def test_help_into_a_pipe_without_reader_exits_one_silently(self):
+    # Every way out of the process freezes the collector, so shutdown has nothing to scan.
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--to-s", "100"]],
+                             ids=["help", "table"])
+    def test_a_pipe_without_reader_exits_one_silently(self, run_child, argv):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "gnomon_triples", "--help"],
-                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-            )
+            code, _, err, _, frozen = run_child(*argv, stdout=write_end)
         finally:
             os.close(write_end)
-        assert (result.returncode, result.stderr) == (1, b"")
+        assert (code, err) == (1, "")
+        assert frozen > 0
 
-    @pytest.mark.parametrize("argv", [["invert", "3", "4", "5"], ["table", "--to-s", "10"]],
-                             ids=["invert", "table"])
-    def test_stdout_closed_at_start_is_one_error_line(self, argv):
-        result = subprocess.run(
-            [sys.executable, "-m", "gnomon_triples", *argv],
-            stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=lambda: os.close(1),
-        )
-        assert result.returncode == 1
-        assert result.stderr == f"error: {os.strerror(errno.EBADF)}: <stdout>\n"
-
-    @staticmethod
-    def _frozen_run(argv, **kwargs):
-        """(exit code, stdout, stderr without the child's last line, objects frozen)."""
-        result = subprocess.run([sys.executable, "-c", FREEZING_CHILD, *argv],
-                                stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
-        err, _, frozen = result.stderr.rpartition("frozen ")
-        return result.returncode, result.stdout, err, int(frozen)
+    @pytest.mark.parametrize("argv", [["invert", "3", "4", "5"], ["table", "--to-s", "10"],
+                                      ["table", "--to-s", "100"]],
+                             ids=["invert", "table", "table-100"])
+    def test_stdout_closed_at_start_is_one_error_line(self, run_child, argv):
+        code, _, err, _, frozen = run_child(*argv, preexec_fn=lambda: os.close(1))
+        assert (code, err) == (1, f"error: {os.strerror(errno.EBADF)}: <stdout>\n")
+        assert frozen > 0
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -559,11 +481,11 @@ class TestUsage:
          (["table", "--to-s", "7"], 2), (["--help"], 0)],
         ids=["table", "domain-error", "usage-error", "help"],
     )
-    def test_the_process_ends_with_the_collector_frozen(self, capsys, monkeypatch, argv, code,
-                                                        golden_table_text):
+    def test_the_process_ends_with_the_collector_frozen(self, capsys, monkeypatch, run_child,
+                                                        argv, code, golden_table_text):
         """The child's output is main()'s in this process; only shutdown's collections go."""
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps alike in both processes
-        got, out, err, frozen = self._frozen_run(argv, stdout=subprocess.PIPE)
+        got, out, err, _, frozen = run_child(*argv)
         try:
             assert main(argv) == code
         except SystemExit as exc:
@@ -572,20 +494,6 @@ class TestUsage:
         assert (got, out, err) == (code, *capsys.readouterr())
         if code == 0 and argv[0] == "table":
             assert out == golden_table_text
-
-    @pytest.mark.parametrize("at_start", [True, False], ids=["at-start", "by-its-reader"])
-    def test_a_closed_stdout_ends_with_the_collector_frozen(self, at_start):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            code, _, err, frozen = self._frozen_run(
-                ["table", "--to-s", "100"], stdout=write_end,
-                preexec_fn=(lambda: os.close(1)) if at_start else None,
-            )
-        finally:
-            os.close(write_end)
-        assert (code, err) == (1, f"error: {os.strerror(errno.EBADF)}: <stdout>\n" * at_start)
-        assert frozen > 0
 
     def test_main_leaves_the_collector_unfrozen(self, capsys):
         """Tests, the fuzz guard and the benchmark's traced pass call main() many times."""
@@ -596,95 +504,69 @@ class TestUsage:
             main(["table", "--to-s", "7"])
         assert gc.get_freeze_count() == before
 
-    def test_rows_before_a_domain_error_come_out_first(self, capsys, monkeypatch):
+    def test_rows_before_a_domain_error_come_out_first(self, capsys, monkeypatch, run_child):
         # With the bound lowered to 10^11, the third side, 4 * 3 * 166666666667,
         # ends the run after the 10 rows of the two sides before it.
         argv = ["enumerate", "--from-s", "2000000000000", "--to-s", "2000000000400"]
-        script = (
-            "import sys\n"
-            "from gnomon_triples import cli, partitions\n"
-            "partitions.PSI_13 = 10**11\n"
-            f"sys.argv = ['gnomon-triples', *{argv!r}]\n"
-            "cli.entry_point()\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
-        )
+        child = run_child(*argv, prelude="from gnomon_triples import partitions\n"
+                                         "partitions.PSI_13 = 10**11", stderr=subprocess.STDOUT)
         monkeypatch.setattr(partitions, "PSI_13", 10**11)
         code, out, err = run_cli(capsys, *argv)
         assert (code, len(out.splitlines()), len(err.splitlines())) == (1, 10, 1)
         assert err.startswith("error: size-limit: factor 166666666667 ")
-        assert (result.returncode, result.stdout) == (1, out + err)
+        assert child[:2] == (1, out + err)
 
-    def test_a_failed_invariant_is_one_error_line(self, capsys, monkeypatch):
+    def test_a_failed_invariant_is_one_error_line(self, capsys, monkeypatch, run_child):
         # A primality fault hands the prime 100000000003 to rho, which fails require.
         argv = ["enumerate", "--from-s", "200000000006", "--to-s", "200000000006"]
-        script = (
-            "import sys\n"
-            "from gnomon_triples import cli, partitions\n"
-            "partitions._is_prime = lambda n: False\n"
-            f"sys.argv = ['gnomon-triples', *{argv!r}]\n"
-            "cli.entry_point()\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
-        )
+        child = run_child(*argv, prelude="from gnomon_triples import partitions\n"
+                                         "partitions._is_prime = lambda n: False")
         monkeypatch.setattr(partitions, "_is_prime", lambda n: False)
         assert run_cli(capsys, *argv) == (1, "", "error: internal: 100000000003\n")
-        assert (result.returncode, result.stdout) == (1, "error: internal: 100000000003\n")
+        assert child[:3] == (1, "", "error: internal: 100000000003\n")
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "default"])
-    def test_full_non_blocking_stdout_is_one_error_line(self, unbuffered):
+    def test_full_non_blocking_stdout_is_one_error_line(self, run_child, unbuffered):
         # Nothing reads the pipe before the child exits, so its writes fill it.
         read_end, write_end = os.pipe()
         os.set_blocking(write_end, False)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "gnomon_triples", "table", "--to-s", "20000"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
-                env=child_env(unbuffered),
-            )
+            code, _, err, _, _ = run_child("table", "--to-s", "20000", stdout=write_end,
+                                           env=child_env(unbuffered))
         finally:
             os.close(write_end)
             os.close(read_end)
-        assert result.returncode == 1
-        assert result.stderr == "error: write could not complete without blocking: <stdout>\n"
+        assert (code, err) == (1, "error: write could not complete without blocking: <stdout>\n")
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "default"])
-    def test_stdout_is_block_buffered(self, unbuffered, golden_table_text):
-        result = subprocess.run(
-            counted_child("table", "--to-s", "50000"),
-            capture_output=True, text=True, timeout=60, env=child_env(unbuffered),
-        )
-        expected = render_table(stream(2, 50_000))
-        assert result.returncode == 0
-        assert result.stdout == expected
-        assert expected.startswith(golden_table_text)
+    def test_stdout_is_block_buffered(self, run_child, unbuffered, golden_table_text,
+                                      table_to_50000):
+        code, out, err, writes, _ = run_child("table", "--to-s", "50000",
+                                              env=child_env(unbuffered))
+        assert (code, out, err) == (0, table_to_50000, "")
+        assert table_to_50000.startswith(golden_table_text)
         if HAVE_PROC_IO:
-            assert int(result.stderr.removeprefix("syscw ")) <= expected.count("\n") // 100
+            assert writes <= table_to_50000.count("\n") // 100
 
     @pytest.mark.skipif(not (hasattr(os, "openpty") and HAVE_PROC_IO),
                         reason="needs os.openpty and /proc/self/io")
-    def test_terminal_stdout_is_line_buffered(self, golden_table_text):
+    def test_terminal_stdout_is_line_buffered(self, run_child, golden_table_text):
+        # The terminal holds the whole table, so it is read after the child exits.
         master, slave = os.openpty()
         chunks = []
-        try:
-            with subprocess.Popen(counted_child("table", "--to-s", "100"),
-                                  stdout=slave, stderr=subprocess.PIPE, text=True) as proc:
+        with open(master, "rb", buffering=0) as terminal:
+            try:
+                code, _, err, writes, _ = run_child("table", "--to-s", "100", stdout=slave)
+            finally:
                 os.close(slave)
-                try:
-                    while chunk := os.read(master, 4096):
-                        chunks.append(chunk)
-                except OSError as exc:  # the child has closed the terminal
-                    assert exc.errno == errno.EIO
-                err = proc.stderr.read()
-        finally:
-            os.close(master)
-        assert proc.returncode == 0
+            try:
+                while chunk := terminal.read(4096):
+                    chunks.append(chunk)
+            except OSError as exc:  # the child has closed the terminal
+                assert exc.errno == errno.EIO
+        assert (code, err) == (0, "")
         assert b"".join(chunks).replace(b"\r\n", b"\n").decode() == golden_table_text
-        assert int(err.removeprefix("syscw ")) >= golden_table_text.count("\n")
+        assert writes >= golden_table_text.count("\n")
 
     def test_console_script_is_the_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
@@ -693,47 +575,18 @@ class TestUsage:
         module, _, name = scripts["gnomon-triples"].partition(":")
         assert getattr(importlib.import_module(module), name) is cli.entry_point
 
-    def test_runtime_imports_only_the_standard_library(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        # -I ignores PYTHONPATH; modules that .pth files preload form the baseline.
-        script = (
-            "import sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "before = set(sys.modules)\n"
-            "import gnomon_triples.cli\n"
-            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-            "print(sorted(new - sys.stdlib_module_names))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout == "['gnomon_triples']\n"
+    def test_runtime_imports_only_the_standard_library(self, imported_by_a_run):
+        names = {name.partition(".")[0] for name in imported_by_a_run}
+        assert names - sys.stdlib_module_names == {"gnomon_triples"}
 
-    @staticmethod
-    def _loaded_at_start_up(modules) -> str:
-        """Those of modules that ``import gnomon_triples.cli`` loads, with no site hook."""
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        script = (
-            "import sys\n"
-            f"sys.path.insert(0, {src!r})\n"
-            "import gnomon_triples.cli\n"
-            f"print(sorted({set(modules)!r} & set(sys.modules)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert (result.returncode, result.stderr) == (0, "")
-        return result.stdout
-
-    def test_start_up_imports_neither_dataclasses_nor_inspect(self):
+    def test_start_up_imports_neither_dataclasses_nor_inspect(self, imported_by_a_run):
         """Each CLI start pays for its imports; the records need neither module."""
-        assert self._loaded_at_start_up({"dataclasses", "inspect"}) == "[]\n"
+        assert imported_by_a_run.isdisjoint({"dataclasses", "inspect"})
 
-    def test_start_up_imports_neither_typing_nor_pathlib(self):
+    def test_start_up_imports_neither_typing_nor_pathlib(self, imported_by_a_run):
         """``TableRow`` is a plain namedtuple subclass and ``diagram --out`` writes through
         ``open``: about 10 ms of import with ``-S -I``, which a site hook can hide."""
-        assert self._loaded_at_start_up({"typing", "pathlib"}) == "[]\n"
+        assert imported_by_a_run.isdisjoint({"typing", "pathlib"})
 
 
 # CLI fuzz guard: any argv ends in exit 0, 1 or 2 (returned, or SystemExit 0 or

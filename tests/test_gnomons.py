@@ -15,18 +15,20 @@ from gnomon_triples.triples import PrimitiveTriple, construct
 
 class TestPairOfGnomons:
     @pytest.mark.parametrize(
-        "triple,t1,t2,areas",
+        "triple,k,t1,t2,areas",
         [
-            ((3, 4, 5), 1, 2, (9, 16)),
-            ((15, 8, 17), 9, 2, (225, 64)),
-            ((4961, 6480, 8161), 1681, 3200, (4961**2, 6480**2)),
+            ((3, 4, 5), 1, 1, 2, (9, 16)),
+            ((15, 8, 17), 1, 9, 2, (225, 64)),
+            ((4961, 6480, 8161), 1, 1681, 3200, (4961**2, 6480**2)),
+            ((3, 4, 5), 4, 4, 8, (144, 256)),
+            ((15, 8, 17), 3, 27, 6, (2025, 576)),
         ],
     )
-    def test_known_pairs(self, triple, t1, t2, areas):
-        pair = gnomon_pair(PrimitiveTriple(*triple))
+    def test_known_pairs(self, triple, k, t1, t2, areas):
+        pair = gnomon_pair(PrimitiveTriple(*triple), k)
         assert pair.odd_gnomon.thickness == t1
         assert pair.even_gnomon.thickness == t2
-        assert pair.odd_gnomon.side_length == pair.even_gnomon.side_length == triple[2]
+        assert pair.odd_gnomon.side_length == pair.even_gnomon.side_length == k * triple[2]
         assert (pair.odd_gnomon.area, pair.even_gnomon.area) == areas
 
     def test_identities_over_enumerated_triples(self):
@@ -55,20 +57,15 @@ class TestPairOfGnomons:
 
 
 class TestProgressionOnSquare:
-    def test_two_terms_on_odd_square(self):
-        prog = Gnomon(2, 3 + 2)
-        assert list(prog.terms()) == [7, 9]
-        assert prog.area == sum([7, 9]) == 16
-
-    def test_single_term_on_even_square(self):
-        prog = Gnomon(1, 4 + 1)
-        assert list(prog.terms()) == [9]
-        assert prog.area == 9
-
-    def test_nine_terms(self):
-        prog = Gnomon(9, 8 + 9)
-        assert list(prog.terms()) == list(range(17, 34, 2))
-        assert prog.area == sum(range(17, 34, 2)) == 225
+    @pytest.mark.parametrize("thickness, side, terms, area", [
+        (2, 3 + 2, [7, 9], 16),  # two terms on an odd square
+        (1, 4 + 1, [9], 9),  # a single term on an even square
+        (9, 8 + 9, list(range(17, 34, 2)), 225),
+    ])
+    def test_known_terms(self, thickness, side, terms, area):
+        prog = Gnomon(thickness, side)
+        assert list(prog.terms()) == terms
+        assert prog.area == sum(terms) == area
 
     def test_total_is_difference_of_squares(self):
         for side in range(0, 60):  # side 0: the gnomon is the whole square
@@ -82,17 +79,18 @@ class TestProgressionOnSquare:
 
 
 class TestOverlap:
-    def test_smallest_triple(self):
-        shared, longer, shorter = overlap_terms(gnomon_pair(PrimitiveTriple(3, 4, 5)))
-        assert list(longer.terms()) == [7, 9]
-        assert list(shorter.terms()) == [9]
-        assert list(shared) == [9]
-
-    def test_even_leg_smaller_case(self):
-        shared, longer, shorter = overlap_terms(gnomon_pair(PrimitiveTriple(15, 8, 17)))
-        assert list(longer.terms()) == list(range(17, 34, 2))
-        assert list(shorter.terms()) == [31, 33]
-        assert list(shared) == [31, 33]
+    # x < y: the shorter progression sits on the even-leg square (the odd gnomon);
+    # y < x: it sits on the odd-leg square (the even gnomon).
+    @pytest.mark.parametrize("triple, longer_terms, shorter_terms, shorter_one", [
+        ((3, 4, 5), [7, 9], [9], "odd_gnomon"),
+        ((15, 8, 17), list(range(17, 34, 2)), [31, 33], "even_gnomon"),
+    ])
+    def test_known_overlaps(self, triple, longer_terms, shorter_terms, shorter_one):
+        pair = gnomon_pair(PrimitiveTriple(*triple))
+        shared, longer, shorter = overlap_terms(pair)
+        assert list(longer.terms()) == longer_terms
+        assert list(shorter.terms()) == list(shared) == shorter_terms
+        assert shorter == getattr(pair, shorter_one)
 
     def test_both_progressions_end_below_twice_the_hypotenuse(self):
         for row in stream(2, 500):
@@ -105,16 +103,6 @@ class TestOverlap:
             assert longer.thickness > shorter.thickness
             assert list(shared) == list(longer.terms())[-shorter.thickness :]
             assert list(shared) == list(shorter.terms())
-
-    def test_smaller_side_picks_the_smaller_progression(self):
-        # x < y: the shorter progression sits on the even-leg square
-        pair = gnomon_pair(PrimitiveTriple(3, 4, 5))
-        _, _, shorter = overlap_terms(pair)
-        assert shorter == pair.odd_gnomon
-        # y < x: the shorter progression sits on the odd-leg square
-        pair = gnomon_pair(PrimitiveTriple(15, 8, 17))
-        _, _, shorter = overlap_terms(pair)
-        assert shorter == pair.even_gnomon
 
     def test_long_shared_suffix_is_not_materialized(self):
         # t=1000, l=1001: the shared suffix has l^2 = 1 002 001 terms.
@@ -161,22 +149,6 @@ class TestScaledPairs:
         assert gnomon_pair is scale
         assert gnomon_pair(general.base, 3) == general
         assert pair_progressions(general) == (general.odd_gnomon, general.even_gnomon)
-
-    def test_scale_four(self):
-        pair = scale(PrimitiveTriple(3, 4, 5), 4)
-        assert pair.odd_gnomon.thickness == 4
-        assert pair.even_gnomon.thickness == 8
-        assert pair.odd_gnomon.side_length == 20
-        assert (pair.odd_gnomon.area, pair.even_gnomon.area) == (144, 256)
-
-    def test_scale_three(self):
-        pair = scale(PrimitiveTriple(15, 8, 17), 3)
-        assert pair.odd_gnomon.thickness == 27
-        assert pair.even_gnomon.thickness == 6
-        assert pair.odd_gnomon.side_length == 51
-        assert (pair.odd_gnomon.area, pair.even_gnomon.area) == (2025, 576)
-        for g in (pair.odd_gnomon, pair.even_gnomon):
-            assert g.area == g.thickness * (2 * g.side_length - g.thickness)
 
     def test_thicknesses_and_areas_scale_linearly_and_quadratically(self):
         for row in stream(2, 100):

@@ -58,16 +58,14 @@ class TestFactorSide:
         # factor_window divide by it blindly, and a rest that reaches 0 never ends.
         assert list(partitions._base_primes()) == list(sympy.primerange(3, 2**16 + 1))
 
-    def test_power_of_two_has_no_odd_part(self):
-        assert factor_side(2) == ()
-
-    def test_two_odd_primes(self):
-        assert factor_side(30) == ((3, 1), (5, 1))
-
-    def test_prime_power_collapses_to_one_entry(self):
-        assert factor_side(48) == ((3, 1),)
-        # 1031 is the first prime a point does not always divide out
-        assert factor_side(2 * 1031**2) == ((1031, 2),)
+    @pytest.mark.parametrize("side, profile", [
+        (2, ()),  # a power of two has no odd part
+        (30, ((3, 1), (5, 1))),
+        (48, ((3, 1),)),  # a prime power collapses to one entry
+        (2 * 1031**2, ((1031, 2),)),  # 1031 is the first prime a point does not always divide out
+    ])
+    def test_known_profiles(self, side, profile):
+        assert factor_side(side) == profile
 
     def test_profile_reconstructs_the_side(self):
         for side in range(2, 5000, 2):
@@ -107,19 +105,13 @@ class TestPartitionCount:
 
 
 class TestEnumeratePartitions:
-    def test_four_splits_of_30(self):
-        assert [(p.t, p.l) for p in enumerate_partitions(30)] == [
-            (1, 15),
-            (3, 5),
-            (5, 3),
-            (15, 1),
-        ]
-
-    def test_single_split_of_16(self):
-        assert [(p.t, p.l) for p in enumerate_partitions(16)] == [(8, 1)]
-
-    def test_two_splits_of_12(self):
-        assert [(p.t, p.l) for p in enumerate_partitions(12)] == [(2, 3), (6, 1)]
+    @pytest.mark.parametrize("side, splits", [
+        (30, [(1, 15), (3, 5), (5, 3), (15, 1)]),
+        (16, [(8, 1)]),
+        (12, [(2, 3), (6, 1)]),
+    ])
+    def test_known_splits(self, side, splits):
+        assert [(p.t, p.l) for p in enumerate_partitions(side)] == splits
 
     def test_matches_brute_force_scan(self):
         for side in range(2, 2000, 2):
@@ -140,17 +132,11 @@ class TestEnumeratePartitions:
 
 
 class TestPartitionValidation:
-    def test_rejects_even_l(self):
+    @pytest.mark.parametrize("t, l, side", [(1, 2, 4), (1, 1, 4), (3, 3, 18)],
+                             ids=["even-l", "mismatched-side", "shared-factor"])
+    def test_rejects(self, t, l, side):
         with pytest.raises(ValueError):
-            Partition(t=1, l=2, side=4)
-
-    def test_rejects_mismatched_side(self):
-        with pytest.raises(ValueError):
-            Partition(t=1, l=1, side=4)
-
-    def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            Partition(t=3, l=3, side=18)
+            Partition(t=t, l=l, side=side)
 
 
 @settings(max_examples=200, deadline=None)

@@ -48,48 +48,38 @@ class TestConstruct:
 
 
 class TestPrimitiveTripleValidation:
-    def test_rejects_non_triple(self):
-        with pytest.raises(NotATripleError) as exc:
-            PrimitiveTriple(3, 4, 6)
-        assert isinstance(exc.value, ValueError)
-
-    def test_rejects_swapped_parity(self):
-        with pytest.raises(ValueError):
-            PrimitiveTriple(4, 3, 5)
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(NotPrimitiveError) as exc:
-            PrimitiveTriple(6, 8, 10)
+    # Each refusal is a ValueError.
+    @pytest.mark.parametrize("legs, error", [
+        ((3, 4, 6), NotATripleError), ((4, 3, 5), ValueError), ((6, 8, 10), NotPrimitiveError),
+    ], ids=["non-triple", "swapped-parity", "common-factor"])
+    def test_rejects(self, legs, error):
+        with pytest.raises(error) as exc:
+            PrimitiveTriple(*legs)
         assert isinstance(exc.value, ValueError)
 
 
 class TestInvert:
-    def test_smallest_triple(self):
-        assert invert(3, 4, 5) == Partition(t=1, l=1, side=2)
-
-    def test_tablet_triple(self):
+    @pytest.mark.parametrize("legs, t, l, side", [
+        ((3, 4, 5), 1, 1, 2),
         # 8161 - 6480 = 1681 = 41^2, then S = 4961 - 1681 = 3280, t = 40
-        assert invert(4961, 6480, 8161) == Partition(t=40, l=41, side=3280)
+        ((4961, 6480, 8161), 40, 41, 3280),
+        # legs in any order
+        *((legs, 1, 3, 6) for legs in [(15, 8, 17), (8, 15, 17), (17, 8, 15), (8, 17, 15)]),
+    ])
+    def test_known_splits(self, legs, t, l, side):
+        assert invert(*legs) == Partition(t=t, l=l, side=side)
 
-    def test_legs_accepted_in_any_order(self):
-        expected = Partition(t=1, l=3, side=6)
-        for legs in [(15, 8, 17), (8, 15, 17), (17, 8, 15), (8, 17, 15)]:
-            assert invert(*legs) == expected
-
-    def test_scaled_triple_is_rejected(self):
-        with pytest.raises(NotPrimitiveError):
-            invert(6, 8, 10)
-        with pytest.raises(NotPrimitiveError):
-            invert(39, 52, 65)  # 13 * (3, 4, 5)
-
-    def test_non_triple_is_rejected(self):
-        with pytest.raises(NotATripleError):
-            invert(3, 4, 6)
-        with pytest.raises(NotATripleError):
-            invert(1, 1, 1)
+    @pytest.mark.parametrize("legs, error, match", [
+        ((6, 8, 10), NotPrimitiveError, None),
+        ((39, 52, 65), NotPrimitiveError, None),  # 13 * (3, 4, 5)
+        ((3, 4, 6), NotATripleError, None),
+        ((1, 1, 1), NotATripleError, None),
         # legs of one parity are named smaller first, as the CLI's error line shows
-        with pytest.raises(NotATripleError, match=r"^3\^2 \+ 5\^2 != 7\^2$"):
-            invert(7, 5, 3)
+        ((7, 5, 3), NotATripleError, r"^3\^2 \+ 5\^2 != 7\^2$"),
+    ])
+    def test_rejects(self, legs, error, match):
+        with pytest.raises(error, match=match):
+            invert(*legs)
 
     def test_invalid_split_is_malformed(self, monkeypatch):
         # The Partition constructor is invert's one post-condition; l = 2 is even.
@@ -138,15 +128,13 @@ class TestDecomposeGeneral:
 
 
 class TestScale:
-    def test_identity_scale_keeps_values(self):
-        base = PrimitiveTriple(3, 4, 5)
-        assert scale(base, 1).values() == (3, 4, 5)
+    @pytest.mark.parametrize("legs, k, values", [
+        ((3, 4, 5), 1, (3, 4, 5)), ((3, 4, 5), 4, (12, 16, 20)), ((15, 8, 17), 3, (45, 24, 51)),
+    ])
+    def test_known_scalings(self, legs, k, values):
+        assert scale(PrimitiveTriple(*legs), k).values() == values
 
-    def test_known_scalings(self):
-        assert scale(PrimitiveTriple(3, 4, 5), 4).values() == (12, 16, 20)
-        scaled = scale(PrimitiveTriple(15, 8, 17), 3)
-        assert scaled.values() == (45, 24, 51)
-        assert 45 * 45 + 24 * 24 == 51 * 51
+    def test_legs_of_a_general_triple(self):
         general = GeneralTriple(base=PrimitiveTriple(5, 12, 13), scale=7)
         assert (general.x, general.y, general.z) == (35, 84, 91)
 
