@@ -7,10 +7,11 @@ to the subsets of the distinct odd primes of S: there are 2^j of them,
 where j counts those primes.
 
 One factoring layer serves both ways in.  A window of sides is factored by one segmented sieve of
-Eratosthenes over its half-sides, with the odd primes up to
-min(sqrt(S/2), 2^16).  A single side has the primes up to 2^10 divided
-out, and the rest of the primes up to 2^16 only while its cofactor is past
-the exact bound below.  Both hand the cofactor left over to one finisher.
+Eratosthenes over its half-sides, with the odd primes up to sqrt(S/2) for
+its last side while that is at most 2^18, so every cofactor left is 1 or a
+prime, and with those up to 2^16 past it.  A single side has the primes up
+to 2^10 divided out, and the rest of the primes up to 2^16 only while its
+cofactor is past the exact bound below.  Both hand the cofactor left over to one finisher.
 A cofactor with no prime factor up to a bound b is prime when it is below
 (b + 1)^2; otherwise deterministic Miller-Rabin decides, with the first k
 prime bases below psi_k of OEIS A014233 (Jaeschke 1993; Sorenson and Webster
@@ -23,16 +24,18 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import compress
+from itertools import chain, compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import SizeLimitError, ensure, record, require
 
 BASE_PRIME_CAP = 2**16
+# A window whose half-sides are all below (ROOT_PRIME_CAP + 1)^2 is sieved to their square root.
+ROOT_PRIME_CAP = 2**18
 # The primes a single side always has divided out before the finisher.
 POINT_PRIME_CAP = 2**10
-# Half-sides per sieve segment: each segment loops over every base prime up to the
-# bound, so a far window (1001 sides) pays for the 6542 primes up to 2^16 once.
+# Half-sides per sieve segment: each segment goes over every prime up to the bound,
+# so a window of 1001 sides near 10^11 pays for its 19 909 primes once.
 SEGMENT_LENGTH = 1024
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_1 .. psi_12 of OEIS A014233: below psi_k the first k prime bases are exact, and
@@ -77,6 +80,17 @@ def _base_primes() -> array:
         if sieve[p]:
             sieve[p * p :: 2 * p] = bytes(len(range(p * p, BASE_PRIME_CAP + 1, 2 * p)))
     return array("H", compress(range(3, BASE_PRIME_CAP + 1, 2), sieve[3::2]))
+
+
+@cache
+def _root_primes() -> array:
+    """The primes in (BASE_PRIME_CAP, ROOT_PRIME_CAP], sieved by the base primes on first use."""
+    low = BASE_PRIME_CAP + 1
+    sieve = bytearray([1]) * ((ROOT_PRIME_CAP - low) // 2 + 1)  # sieve[i] stands for low + 2i
+    for p in _base_primes()[: bisect_right(_base_primes(), isqrt(ROOT_PRIME_CAP))]:
+        i = -low % p * ((p + 1) // 2) % p  # low + 2i is the first odd multiple of p
+        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
+    return array("I", compress(range(low, ROOT_PRIME_CAP + 1, 2), sieve))
 
 
 @cache
@@ -163,21 +177,30 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
     """(side, odd (prime, exponent) pairs) for every side in [from_s, to_s], in order.
 
     One segmented sieve over the half-sides: each segment of SEGMENT_LENGTH
-    half-sides is factored by the odd primes up to min(sqrt(to_s/2), 2^16),
-    lazily, so a side's factors come without touching later segments.
+    half-sides is factored by the odd primes up to sqrt(to_s/2) while that is
+    at most ROOT_PRIME_CAP, so each rest left is 1 or a prime, and by those up
+    to 2^16 past it, lazily, so a side's factors come without touching later
+    segments.  A prime past the segment length divides at most one half-side
+    of a segment: one modulo screens it, and only a prime that hits divides.
     """
     ensure_side(from_s, "from_s")
     ensure("to_s", ensure_side(to_s, "to_s"), int, from_s)
     first, last = from_s // 2, to_s // 2
-    bound = min(isqrt(last), BASE_PRIME_CAP)
-    primes = _base_primes()[: bisect_right(_base_primes(), bound)]
+    bound = isqrt(last) if last < (ROOT_PRIME_CAP + 1) ** 2 else BASE_PRIME_CAP
+    base = _base_primes()
+    split = bisect_right(base, min(bound, SEGMENT_LENGTH))
+    small, large = base[:split], [(base, split, bisect_right(base, bound))]
+    if bound > BASE_PRIME_CAP:
+        large.append((_root_primes(), 0, bisect_right(_root_primes(), bound)))
     for start in range(first, last + 1, SEGMENT_LENGTH):
         halves = range(start, min(start + SEGMENT_LENGTH, last + 1))
+        size = len(halves)
         rests = [h >> ((h & -h).bit_length() - 1) for h in halves]
         # tuples, not lists: a segment of 1024 lists keeps the garbage collector busy
-        found: list[tuple[tuple[int, int], ...]] = [()] * len(halves)
-        for p in primes:
-            for i in range(-start % p, len(halves), p):
+        found: list[tuple[tuple[int, int], ...]] = [()] * size
+        hits = [p for primes, lo, hi in large for p in islice(primes, lo, hi) if -start % p < size]
+        for p in chain(small, hits):
+            for i in range(-start % p, size, p):
                 n = rests[i] // p
                 exponent = 1
                 while n % p == 0 and n:  # a rest of 0 is a fault, and found below
@@ -201,6 +224,8 @@ def factor_side(side: int) -> tuple[tuple[int, int], ...]:
     found = []
     bound = BASE_PRIME_CAP
     for p in _base_primes():
+        if 1 < small < p * p:  # what is left of the gcd has no prime below p: it is one prime
+            p = small
         if p * p > n or (small == 1 and n < PSI_13):
             # n has no prime factor below p, nor, once small is 1, up to the cap
             bound = max(p - 1, POINT_PRIME_CAP if small == 1 else 0)

@@ -58,6 +58,9 @@ class TestFactorSide:
         # factor_window divide by it blindly, and a rest that reaches 0 never ends.
         assert list(partitions._base_primes()) == list(sympy.primerange(3, 2**16 + 1))
 
+    def test_root_primes_are_the_primes_past_the_cap_up_to_2_18(self):
+        assert list(partitions._root_primes()) == list(sympy.primerange(2**16 + 1, 2**18 + 1))
+
     @pytest.mark.parametrize("side, profile", [
         (2, ()),  # a power of two has no odd part
         (30, ((3, 1), (5, 1))),
@@ -165,6 +168,23 @@ def sieved(from_s: int, to_s: int, segment: int = 7) -> list:
         return list(factor_window(from_s, to_s))
 
 
+# A window's first and last half-side, relative to a square.
+WINDOW_EDGES = [(0, 0), (-1, 1), (-3, 0), (0, 5), (1, 1), (-1, -1), (-7, 7)]
+
+
+def counted(monkeypatch) -> dict[str, list[tuple]]:
+    """The arguments of every call to the finisher, Miller-Rabin and rho, by name."""
+    calls: dict[str, list[tuple]] = {}
+    for name in ("_finish", "_is_prime", "_rho"):
+        def spy(*args, name=name, original=getattr(partitions, name)):
+            calls[name].append(args)
+            return original(*args)
+
+        calls[name] = []
+        monkeypatch.setattr(partitions, name, spy)
+    return calls
+
+
 @st.composite
 def known_factorizations(draw):
     """(odd n < 10^24, its factorization), built from sympy primes.
@@ -226,7 +246,7 @@ class TestFactoringLayer:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from([3, 5, 7, 251, 1021, 1031, 65521, 65537, 65539])
+        st.sampled_from([3, 5, 7, 251, 1021, 1031, 65521, 65537, 65539, 262139, 262147])
         | st.integers(2, 2 * 10**6).map(sympy.nextprime),
         st.integers(-9, 9),
         st.integers(0, 20),
@@ -238,13 +258,18 @@ class TestFactoringLayer:
         assert sieved(from_s, to_s) == expected
 
     @pytest.mark.parametrize("prime", [3, 65521, 65537])
-    @pytest.mark.parametrize("first, last", [(0, 0), (-1, 1), (-3, 0), (0, 5), (1, 1), (-1, -1), (-7, 7)])
+    @pytest.mark.parametrize("first, last", WINDOW_EDGES)
     def test_windows_that_start_end_or_straddle_a_prime_square(self, prime, first, last):
         square = prime * prime
         from_s, to_s = 2 * max(1, square + first), 2 * (square + last)
         expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
         assert sieved(from_s, to_s) == expected
         assert list(factor_window(from_s, to_s)) == expected
+
+    @pytest.mark.parametrize("first, last", WINDOW_EDGES)
+    def test_windows_that_start_end_or_straddle_the_root_cap(self, first, last):
+        # A window ending at the half-side (2^18 + 1)^2 or past it is sieved only to 2^16.
+        self.test_windows_that_start_end_or_straddle_a_prime_square(2**18 + 1, first, last)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 15).flatmap(lambda e: st.integers(1, 10**e)), st.integers(0, 30))
@@ -331,6 +356,39 @@ class TestFactoringLayer:
         monkeypatch.setattr(partitions, "_base_primes", lambda: array("H", [3, 9]))
         with pytest.raises(AssertionError, match="^1$"):
             list(factor_window(2, 200))
+
+    def test_a_window_below_the_root_cap_is_finished_by_the_sieve_alone(self, monkeypatch):
+        calls = counted(monkeypatch)
+        assert len(list(factor_window(10**11, 10**11 + 2000))) == 1001
+        assert (len(calls["_is_prime"]), len(calls["_rho"])) == (0, 0)  # 155 and 17 at 2^16
+
+    def test_a_window_past_the_root_cap_keeps_the_finisher(self, monkeypatch):
+        side = 2 * sympy.nextprime(10**11)
+        calls = counted(monkeypatch)
+        assert list(factor_window(side, side)) == [(side, ((side // 2, 1),))]
+        assert calls["_is_prime"] == [(side // 2,)]
+
+    def test_a_point_square_needs_no_rho(self, monkeypatch):
+        p = sympy.nextprime(10**7)
+        calls = counted(monkeypatch)
+        assert factor_side(2 * p * p) == ((p, 2),)
+        assert calls["_rho"] == []
+
+    def test_a_point_with_no_prime_up_to_2_10_goes_whole_to_the_finisher(self, monkeypatch):
+        calls = counted(monkeypatch)
+        assert factor_side(2 * 1031 * 1033) == ((1031, 1), (1033, 1))
+        assert calls["_finish"][0] == (1031 * 1033, 2**10)
+
+    def test_a_point_stops_walking_once_the_gcd_left_is_one_prime(self, monkeypatch):
+        # After 3 .. 37, the gcd left (1009) is below 37^2, so 1009 is divided out
+        # directly and the next prime ends the walk: 169 primes drawn before.
+        primes = partitions._base_primes()
+        partitions._point_primes_product()  # cached: draws from the real table once
+        drawn = []
+        monkeypatch.setattr(partitions, "_base_primes",
+                            lambda: (drawn.append(p) or p for p in primes))
+        assert factor_side(2 * 1009 * 10007) == ((1009, 1), (10007, 1))
+        assert drawn == list(sympy.primerange(3, 42))
 
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
