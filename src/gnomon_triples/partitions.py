@@ -8,8 +8,9 @@ where j counts those primes.
 
 One factoring layer serves both ways in.  A window of sides is factored by one segmented sieve of
 Eratosthenes over its half-sides, with the odd primes up to sqrt(S/2) for
-its last side while that is at most 2^18, so every cofactor left is 1 or a
-prime, and with those up to 2^16 past it.  A single side has the primes up
+its last side while that is at most 2^18 and the window is wide enough to
+repay the table of primes past 2^16, so every cofactor left is 1 or a prime,
+and with those up to 2^16 otherwise.  A single side has the primes up
 to 2^10 divided out, and the rest of the primes up to 2^16 only while its
 cofactor is past the exact bound below.  Both hand the cofactor left over to one finisher.
 A cofactor with no prime factor up to a bound b is prime when it is below
@@ -30,8 +31,10 @@ from math import gcd, isqrt, prod
 from .errors import SizeLimitError, ensure, record, require
 
 BASE_PRIME_CAP = 2**16
-# A window whose half-sides are all below (ROOT_PRIME_CAP + 1)^2 is sieved to their square root.
+# A window with every half-side below (ROOT_PRIME_CAP + 1)^2 is sieved to their square root once
+# (last - first) * (last >> 32) reaches ROOT_SIEVE_WORK: the finisher work saved repays the table.
 ROOT_PRIME_CAP = 2**18
+ROOT_SIEVE_WORK = 2**13
 # The primes a single side always has divided out before the finisher.
 POINT_PRIME_CAP = 2**10
 # Half-sides per sieve segment: each segment goes over every prime up to the bound,
@@ -178,15 +181,17 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
 
     One segmented sieve over the half-sides: each segment of SEGMENT_LENGTH
     half-sides is factored by the odd primes up to sqrt(to_s/2) while that is
-    at most ROOT_PRIME_CAP, so each rest left is 1 or a prime, and by those up
-    to 2^16 past it, lazily, so a side's factors come without touching later
-    segments.  A prime past the segment length divides at most one half-side
-    of a segment: one modulo screens it, and only a prime that hits divides.
+    at most ROOT_PRIME_CAP and the window is wide enough for ROOT_SIEVE_WORK,
+    so each rest left is 1 or a prime, and by those up to 2^16 otherwise,
+    lazily, so a side's factors come without touching later segments.  A
+    prime past the segment length divides at most one half-side of a
+    segment: one modulo screens it, and only a prime that hits divides.
     """
     ensure_side(from_s, "from_s")
     ensure("to_s", ensure_side(to_s, "to_s"), int, from_s)
     first, last = from_s // 2, to_s // 2
-    bound = isqrt(last) if last < (ROOT_PRIME_CAP + 1) ** 2 else BASE_PRIME_CAP
+    root = last < (ROOT_PRIME_CAP + 1) ** 2 and (last - first) * (last >> 32) >= ROOT_SIEVE_WORK
+    bound = min(isqrt(last), ROOT_PRIME_CAP if root else BASE_PRIME_CAP)
     base = _base_primes()
     split = bisect_right(base, min(bound, SEGMENT_LENGTH))
     small, large = base[:split], [(base, split, bisect_right(base, bound))]
@@ -224,8 +229,6 @@ def factor_side(side: int) -> tuple[tuple[int, int], ...]:
     found = []
     bound = BASE_PRIME_CAP
     for p in _base_primes():
-        if 1 < small < p * p:  # what is left of the gcd has no prime below p: it is one prime
-            p = small
         if p * p > n or (small == 1 and n < PSI_13):
             # n has no prime factor below p, nor, once small is 1, up to the cap
             bound = max(p - 1, POINT_PRIME_CAP if small == 1 else 0)

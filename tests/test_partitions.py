@@ -162,14 +162,12 @@ def odd_factorint(side: int) -> tuple[tuple[int, int], ...]:
 
 
 def sieved(from_s: int, to_s: int, segment: int = 7) -> list:
-    """The window sieve's output, with segments short enough to cross many."""
+    """The window sieve's output, with segments short enough to cross many and
+    every window below the root sieve's boundary sieved to its square root."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(partitions, "SEGMENT_LENGTH", segment)
+        patch.setattr(partitions, "ROOT_SIEVE_WORK", 0)
         return list(factor_window(from_s, to_s))
-
-
-# A window's first and last half-side, relative to a square.
-WINDOW_EDGES = [(0, 0), (-1, 1), (-3, 0), (0, 5), (1, 1), (-1, -1), (-7, 7)]
 
 
 def counted(monkeypatch) -> dict[str, list[tuple]]:
@@ -257,19 +255,15 @@ class TestFactoringLayer:
         expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
         assert sieved(from_s, to_s) == expected
 
-    @pytest.mark.parametrize("prime", [3, 65521, 65537])
-    @pytest.mark.parametrize("first, last", WINDOW_EDGES)
-    def test_windows_that_start_end_or_straddle_a_prime_square(self, prime, first, last):
-        square = prime * prime
+    # (2^18 + 1)^2 is the root sieve's boundary: a window ending there or past it is sieved to 2^16.
+    @pytest.mark.parametrize("root", [3, 65521, 65537, 2**18 + 1])
+    @pytest.mark.parametrize("first, last", [(0, 0), (-1, 1), (-3, 0), (0, 5), (1, 1), (-1, -1), (-7, 7)])
+    def test_windows_that_start_end_or_straddle_a_prime_square(self, root, first, last):
+        square = root * root
         from_s, to_s = 2 * max(1, square + first), 2 * (square + last)
         expected = [(side, odd_factorint(side)) for side in range(from_s, to_s + 1, 2)]
         assert sieved(from_s, to_s) == expected
         assert list(factor_window(from_s, to_s)) == expected
-
-    @pytest.mark.parametrize("first, last", WINDOW_EDGES)
-    def test_windows_that_start_end_or_straddle_the_root_cap(self, first, last):
-        # A window ending at the half-side (2^18 + 1)^2 or past it is sieved only to 2^16.
-        self.test_windows_that_start_end_or_straddle_a_prime_square(2**18 + 1, first, last)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 15).flatmap(lambda e: st.integers(1, 10**e)), st.integers(0, 30))
@@ -362,8 +356,10 @@ class TestFactoringLayer:
         assert len(list(factor_window(10**11, 10**11 + 2000))) == 1001
         assert (len(calls["_is_prime"]), len(calls["_rho"])) == (0, 0)  # 155 and 17 at 2^16
 
-    def test_a_window_past_the_root_cap_keeps_the_finisher(self, monkeypatch):
-        side = 2 * sympy.nextprime(10**11)
+    # Past the boundary, and below it but too narrow to repay the table of primes past 2^16.
+    @pytest.mark.parametrize("half", [10**11, 5 * 10**10])
+    def test_a_window_past_the_root_cap_or_narrow_keeps_the_finisher(self, monkeypatch, half):
+        side = 2 * sympy.nextprime(half)
         calls = counted(monkeypatch)
         assert list(factor_window(side, side)) == [(side, ((side // 2, 1),))]
         assert calls["_is_prime"] == [(side // 2,)]
@@ -378,17 +374,6 @@ class TestFactoringLayer:
         calls = counted(monkeypatch)
         assert factor_side(2 * 1031 * 1033) == ((1031, 1), (1033, 1))
         assert calls["_finish"][0] == (1031 * 1033, 2**10)
-
-    def test_a_point_stops_walking_once_the_gcd_left_is_one_prime(self, monkeypatch):
-        # After 3 .. 37, the gcd left (1009) is below 37^2, so 1009 is divided out
-        # directly and the next prime ends the walk: 169 primes drawn before.
-        primes = partitions._base_primes()
-        partitions._point_primes_product()  # cached: draws from the real table once
-        drawn = []
-        monkeypatch.setattr(partitions, "_base_primes",
-                            lambda: (drawn.append(p) or p for p in primes))
-        assert factor_side(2 * 1009 * 10007) == ((1009, 1), (10007, 1))
-        assert drawn == list(sympy.primerange(3, 42))
 
     def test_balanced_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
