@@ -57,8 +57,6 @@ class TestFactorSide:
         # Early in the file: a sieve that keeps a composite or an even number makes
         # factor_window divide by it blindly, and a rest that reaches 0 never ends.
         assert list(partitions._base_primes()) == list(sympy.primerange(3, 2**16 + 1))
-
-    def test_root_primes_are_the_primes_past_the_cap_up_to_2_18(self):
         assert list(partitions._root_primes()) == list(sympy.primerange(2**16 + 1, 2**18 + 1))
 
     @pytest.mark.parametrize("side, profile", [
