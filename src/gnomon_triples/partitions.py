@@ -6,13 +6,14 @@ entirely into t or entirely into l, so the valid splits correspond exactly
 to the subsets of the distinct odd primes of S: there are 2^j of them,
 where j counts those primes.
 
-One factoring layer serves both ways in.  A window of sides is factored by one segmented sieve of
-Eratosthenes over its half-sides, with the odd primes up to sqrt(S/2) for
-its last side while that is at most 2^18 and the window is wide enough to
-repay the table of primes past 2^16, so every cofactor left is 1 or a prime,
-and with those up to 2^16 otherwise.  A single side has the primes up
-to 2^10 divided out, and the rest of the primes up to 2^16 only while its
-cofactor is past the exact bound below.  Both hand the cofactor left over to one finisher.
+One factoring layer serves both ways in.  A window of sides is factored by
+one segmented sieve of Eratosthenes over its half-sides, with the odd primes
+up to sqrt(S/2) for its last side while that is at most 2^18 and the window
+is wide enough to repay the primes past 2^16, so every cofactor left is 1 or
+a prime, and with those up to 2^16 otherwise.  A single side has the primes
+up to 2^10 divided out, and the rest of the primes up to 2^16 only while its
+cofactor is past the exact bound below.  Both read one cached table of odd
+primes per power-of-two cap and hand the cofactor left to one finisher.
 A cofactor with no prime factor up to a bound b is prime when it is below
 (b + 1)^2; otherwise deterministic Miller-Rabin decides, with the first k
 prime bases below psi_k of OEIS A014233 (Jaeschke 1993; Sorenson and Webster
@@ -32,13 +33,13 @@ from .errors import SizeLimitError, ensure, record, require
 
 BASE_PRIME_CAP = 2**16
 # A window with every half-side below (ROOT_PRIME_CAP + 1)^2 is sieved to their square root once
-# (last - first) * (last >> 32) reaches ROOT_SIEVE_WORK: the finisher work saved repays the table.
+# (last - first) * (last >> 32) reaches ROOT_SIEVE_WORK: the finisher work saved repays the primes.
 ROOT_PRIME_CAP = 2**18
 ROOT_SIEVE_WORK = 2**13
 # The primes a single side always has divided out before the finisher.
 POINT_PRIME_CAP = 2**10
-# Half-sides per sieve segment: each segment goes over every prime up to the bound,
-# so a window of 1001 sides near 10^11 pays for its 19 909 primes once.
+# Half-sides per sieve segment: the primes past it are screened once per segment, so a
+# window of 1001 sides near 10^11 screens its 19 738 primes from 1024 to 223 606 once.
 SEGMENT_LENGTH = 1024
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_1 .. psi_12 of OEIS A014233: below psi_k the first k prime bases are exact, and
@@ -76,30 +77,19 @@ class Partition:
 
 
 @cache
-def _base_primes() -> array:
-    """The odd primes up to BASE_PRIME_CAP, sieved once on first use."""
-    sieve = bytearray([1]) * (BASE_PRIME_CAP + 1)
-    for p in range(3, isqrt(BASE_PRIME_CAP) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = bytes(len(range(p * p, BASE_PRIME_CAP + 1, 2 * p)))
-    return array("H", compress(range(3, BASE_PRIME_CAP + 1, 2), sieve[3::2]))
-
-
-@cache
-def _root_primes() -> array:
-    """The primes in (BASE_PRIME_CAP, ROOT_PRIME_CAP], sieved by the base primes on first use."""
-    low = BASE_PRIME_CAP + 1
-    sieve = bytearray([1]) * ((ROOT_PRIME_CAP - low) // 2 + 1)  # sieve[i] stands for low + 2i
-    for p in _base_primes()[: bisect_right(_base_primes(), isqrt(ROOT_PRIME_CAP))]:
-        i = -low % p * ((p + 1) // 2) % p  # low + 2i is the first odd multiple of p
-        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
-    return array("I", compress(range(low, ROOT_PRIME_CAP + 1, 2), sieve))
+def _odd_primes(cap: int) -> array:
+    """The odd primes below cap, sieved once per cap on first use."""
+    sieve = bytearray([1]) * ((cap - 1) // 2)  # sieve[i] stands for 2i + 3
+    for p in range(3, isqrt(cap) + 1, 2):
+        if sieve[p // 2 - 1]:
+            sieve[p * p // 2 - 1 :: p] = bytes(len(range(p * p // 2 - 1, len(sieve), p)))
+    return array("I", compress(range(3, cap, 2), sieve))
 
 
 @cache
 def _point_primes_product() -> int:
     """The product of the odd primes up to POINT_PRIME_CAP: one gcd finds a side's."""
-    return prod(_base_primes()[: bisect_right(_base_primes(), POINT_PRIME_CAP)])
+    return prod(_odd_primes(POINT_PRIME_CAP))
 
 
 def _is_prime(n: int) -> bool:
@@ -111,6 +101,7 @@ def _is_prime(n: int) -> bool:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
+        # more squarings never meet n - 1: a^(n-1) = -1 (mod n) would force 2^(s+1) | n - 1
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
@@ -182,30 +173,30 @@ def factor_window(from_s: int, to_s: int) -> Iterator[tuple[int, tuple[tuple[int
     One segmented sieve over the half-sides: each segment of SEGMENT_LENGTH
     half-sides is factored by the odd primes up to sqrt(to_s/2) while that is
     at most ROOT_PRIME_CAP and the window is wide enough for ROOT_SIEVE_WORK,
-    so each rest left is 1 or a prime, and by those up to 2^16 otherwise,
-    lazily, so a side's factors come without touching later segments.  A
-    prime past the segment length divides at most one half-side of a
-    segment: one modulo screens it, and only a prime that hits divides.
+    so each rest left is 1 or a prime, and by those up to BASE_PRIME_CAP
+    otherwise, lazily, a segment at a time, from the table for the power of
+    two at or above that bound.  A prime past the segment length divides at
+    most one half-side of a segment: one modulo screens it, and only a prime
+    that hits divides.
     """
     ensure_side(from_s, "from_s")
     ensure("to_s", ensure_side(to_s, "to_s"), int, from_s)
     first, last = from_s // 2, to_s // 2
     root = last < (ROOT_PRIME_CAP + 1) ** 2 and (last - first) * (last >> 32) >= ROOT_SIEVE_WORK
     bound = min(isqrt(last), ROOT_PRIME_CAP if root else BASE_PRIME_CAP)
-    base = _base_primes()
-    split = bisect_right(base, min(bound, SEGMENT_LENGTH))
-    small, large = base[:split], [(base, split, bisect_right(base, bound))]
-    if bound > BASE_PRIME_CAP:
-        large.append((_root_primes(), 0, bisect_right(_root_primes(), bound)))
+    primes = _odd_primes(1 << (bound - 1).bit_length())  # a power of two: few tables are cached
+    split, end = bisect_right(primes, min(bound, SEGMENT_LENGTH)), bisect_right(primes, bound)
+    small = primes[:split]
     for start in range(first, last + 1, SEGMENT_LENGTH):
         halves = range(start, min(start + SEGMENT_LENGTH, last + 1))
         size = len(halves)
         rests = [h >> ((h & -h).bit_length() - 1) for h in halves]
         # tuples, not lists: a segment of 1024 lists keeps the garbage collector busy
         found: list[tuple[tuple[int, int], ...]] = [()] * size
-        hits = [p for primes, lo, hi in large for p in islice(primes, lo, hi) if -start % p < size]
+        minus_start = -start  # one negation per segment, not one per prime screened
+        hits = [p for p in islice(primes, split, end) if minus_start % p < size]
         for p in chain(small, hits):
-            for i in range(-start % p, size, p):
+            for i in range(minus_start % p, size, p):
                 n = rests[i] // p
                 exponent = 1
                 while n % p == 0 and n:  # a rest of 0 is a fault, and found below
@@ -228,7 +219,7 @@ def factor_side(side: int) -> tuple[tuple[int, int], ...]:
     small = gcd(n, _point_primes_product())  # the product of n's primes up to the cap
     found = []
     bound = BASE_PRIME_CAP
-    for p in _base_primes():
+    for p in _odd_primes(BASE_PRIME_CAP):
         if p * p > n or (small == 1 and n < PSI_13):
             # n has no prime factor below p, nor, once small is 1, up to the cap
             bound = max(p - 1, POINT_PRIME_CAP if small == 1 else 0)

@@ -3,6 +3,7 @@
 import random
 import time
 from array import array
+from functools import cache
 from itertools import combinations
 from math import gcd, prod
 
@@ -56,8 +57,9 @@ class TestFactorSide:
     def test_base_primes_are_the_odd_primes_up_to_the_cap(self):
         # Early in the file: a sieve that keeps a composite or an even number makes
         # factor_window divide by it blindly, and a rest that reaches 0 never ends.
-        assert list(partitions._base_primes()) == list(sympy.primerange(3, 2**16 + 1))
-        assert list(partitions._root_primes()) == list(sympy.primerange(2**16 + 1, 2**18 + 1))
+        # cap 1 is the smallest asked for: factor_window(2, 2) has the bound isqrt(1)
+        for cap in (1, 2, 4, 2**10, 2**16, 2**18):
+            assert list(partitions._odd_primes(cap)) == list(sympy.primerange(3, cap)), cap
 
     @pytest.mark.parametrize("side, profile", [
         (2, ()),  # a power of two has no odd part
@@ -179,6 +181,16 @@ def counted(monkeypatch) -> dict[str, list[tuple]]:
         calls[name] = []
         monkeypatch.setattr(partitions, name, spy)
     return calls
+
+
+def built(monkeypatch) -> list[int]:
+    """The caps of the prime tables sieved from now on, from empty caches, in order."""
+    caps: list[int] = []
+    sieve = partitions._odd_primes.__wrapped__
+    spy = cache(lambda cap: caps.append(cap) or sieve(cap))
+    monkeypatch.setattr(partitions, "_odd_primes", spy)
+    partitions._point_primes_product.cache_clear()
+    return caps
 
 
 @st.composite
@@ -345,7 +357,7 @@ class TestFactoringLayer:
     def test_a_zero_rest_fails_the_window_and_does_not_hang(self, monkeypatch):
         # A wrong base prime (9, say) divides the rest 1 of the half-side 9 down to 0,
         # on which the exponent loop must stop; the segment then fails require.
-        monkeypatch.setattr(partitions, "_base_primes", lambda: array("H", [3, 9]))
+        monkeypatch.setattr(partitions, "_odd_primes", lambda cap: array("H", [3, 9]))
         with pytest.raises(AssertionError, match="^1$"):
             list(factor_window(2, 200))
 
@@ -361,6 +373,19 @@ class TestFactoringLayer:
         calls = counted(monkeypatch)
         assert list(factor_window(side, side)) == [(side, ((side // 2, 1),))]
         assert calls["_is_prime"] == [(side // 2,)]
+
+    def test_each_window_builds_one_table_for_its_bound(self, monkeypatch):
+        caps = built(monkeypatch)
+        list(factor_window(2, 50000))  # primes up to isqrt(25000) = 158
+        assert caps == [2**8]
+        list(factor_window(10**11, 10**11 + 2000))  # past 2^16: one table, not two
+        assert caps == [2**8, 2**18]
+
+    def test_a_narrow_far_window_and_a_point_share_the_2_16_table(self, monkeypatch):
+        caps = built(monkeypatch)
+        list(factor_window(10**11, 10**11 + 200))
+        factor_side(10**11)
+        assert caps == [2**16, 2**10]
 
     def test_a_point_square_needs_no_rho(self, monkeypatch):
         p = sympy.nextprime(10**7)
