@@ -8,7 +8,7 @@ gnomon rectangles and checks that they cover exactly the paired square's area.
 
 import sys
 
-from .errors import SizeLimitError, ensure, record, require
+from .errors import SizeLimitError, ensure, record, require, shown
 from .triples import PrimitiveTriple
 
 KINDS = (
@@ -53,7 +53,7 @@ class DiagramSpec:
             raise ValueError(f"unknown diagram kind {self.kind!r}, expected {KINDS}")
         unit_px = ensure("unit_px", self.unit_px, (int, float))
         if not 0 < unit_px <= sys.float_info.max:
-            raise ValueError(f"unit_px must be a positive finite number, got {unit_px}")
+            raise ValueError(f"unit_px must be a positive finite number, got {shown(unit_px)}")
 
 
 def _band_rects(frame: int, thickness: int, css: str, dx: int = 0) -> list[_Rect]:
@@ -119,14 +119,15 @@ def render(spec: DiagramSpec) -> str:
     """Render a spec to SVG text (SVG 1.1, one trailing newline)."""
     k = ensure("spec", spec, DiagramSpec).scale_k
     if spec.kind == "lattice" and k * k > MAX_LATTICE_CELLS:
-        raise SizeLimitError(f"a {k}x{k} lattice exceeds the limit of {MAX_LATTICE_CELLS} cells")
+        lattice = f"a {shown(k)}x{shown(k)} lattice"
+        raise SizeLimitError(f"{lattice} exceeds the limit of {MAX_LATTICE_CELLS} cells")
     frame_units, rects, cell = _build(spec)
     # Compared in units first: the float product overflows for a huge frame.
     too_big = frame_units > min(MAX_SIDE_PX / spec.unit_px, sys.float_info.max)
     size = None if too_big else _px(frame_units * spec.unit_px)
     if size in (None, "0"):
         raise SizeLimitError(
-            f"{frame_units} units at {spec.unit_px} px/unit; a side must be "
+            f"{shown(frame_units)} units at {spec.unit_px} px/unit; a side must be "
             f"above 0 and at most {_px(MAX_SIDE_PX)} px"
         )
 

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import chain, compress, islice
 from math import gcd, isqrt, prod
 
-from .errors import SizeLimitError, ensure, record, require
+from .errors import SizeLimitError, ensure, record, require, shown
 
 BASE_PRIME_CAP = 2**16
 # A window with every half-side below (ROOT_PRIME_CAP + 1)^2 is sieved to their square root once
@@ -53,7 +53,7 @@ PSI_13 = 3_317_044_064_679_887_385_961_981
 def ensure_side(value: int, name: str = "side") -> int:
     """Validate a generating-square side, named name: a positive even integer."""
     if ensure(ensure("name", name, str), value, int, 2) % 2 != 0:
-        raise ValueError(f"{name} must be a positive even integer, got {value}")
+        raise ValueError(f"{name} must be a positive even integer, got {shown(value)}")
     return value
 
 
@@ -69,11 +69,11 @@ class Partition:
         side = ensure_side(self.side)
         t, l = ensure("t", self.t, int, 1), ensure("l", self.l, int, 1)
         if l % 2 == 0:
-            raise ValueError(f"l must be odd, got l={l}")
+            raise ValueError(f"l must be odd, got l={shown(l)}")
         if 2 * t * l != side:
-            raise ValueError(f"2*t*l must equal the side: 2*{t}*{l} != {side}")
+            raise ValueError(f"2*t*l must equal the side: 2*{shown(t)}*{shown(l)} != {shown(side)}")
         if gcd(t, l) != 1:
-            raise ValueError(f"t and l must be coprime, got t={t}, l={l}")
+            raise ValueError(f"t and l must be coprime, got t={shown(t)}, l={shown(l)}")
 
 
 @cache
@@ -151,7 +151,7 @@ def _finish(cofactor: int, bound: int) -> list[tuple[int, int]]:
         return [(cofactor, 1)]
     if cofactor >= PSI_13:
         raise SizeLimitError(
-            f"factor {cofactor} is left after removing the primes up to {bound}; "
+            f"factor {shown(cofactor)} is left after removing the primes up to {bound}; "
             f"primality is proven exact only below {PSI_13}"
         )
     if _is_prime(cofactor):

@@ -12,7 +12,7 @@ z - y is the perfect square l^2, then x - l^2 = S and t = S / (2l).
 
 from math import gcd, isqrt
 
-from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure, record
+from .errors import MalformedTripleError, NotATripleError, NotPrimitiveError, ensure, record, shown
 from .partitions import Partition
 
 
@@ -31,12 +31,11 @@ class PrimitiveTriple:
         x, y, z = (ensure("x", self.x, int, 1), ensure("y", self.y, int, 1),
                    ensure("z", self.z, int, 1))
         if x * x + y * y != z * z:
-            raise NotATripleError(f"{x}^2 + {y}^2 != {z}^2")
+            raise NotATripleError(f"{shown(x)}^2 + {shown(y)}^2 != {shown(z)}^2")
         common = gcd(x, y)
         if common > 1:
-            raise NotPrimitiveError(
-                f"({x}, {y}, {z}) has common factor {common}; not primitive"
-            )
+            legs = ", ".join(map(shown, (x, y, z)))
+            raise NotPrimitiveError(f"({legs}) has common factor {shown(common)}; not primitive")
         if x % 2 != 1:
             raise ValueError(f"x must be odd and y even: {self}")
 

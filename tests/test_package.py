@@ -9,6 +9,7 @@ only in ``errors.ensure``, with no exception.
 import ast
 import inspect
 import re
+import sys
 from collections import Counter
 from collections.abc import Iterator
 from pathlib import Path
@@ -17,9 +18,12 @@ import pytest
 
 import gnomon_triples
 from gnomon_triples import (
-    DiagramSpec, Gnomon, Partition, PrimitiveTriple, brute_force_primitive, decompose_general,
-    ensure_side, euclid_parametrization, index_of, invert, render_row, render_table, scale, stream
+    DiagramSpec, GeneralTriple, Gnomon, NotATripleError, NotPrimitiveError, Partition,
+    PrimitiveTriple, SizeLimitError, brute_force_primitive, decompose_general, ensure_side,
+    euclid_parametrization, factor_side, index_of, invert, render, render_row, render_table, scale,
+    stream
 )
+from gnomon_triples.errors import shown
 from gnomon_triples.ordering import render_lines
 
 SRC = sorted(Path(gnomon_triples.__file__).parent.glob("*.py"))
@@ -260,7 +264,14 @@ VALID_CALLS = {
     "scale": dict(triple=T345, k=2),
     "stream": dict(from_s=2, to_s=30),
 }
-WRONG = (None, "3", 3.0, True, 0, -1, (3, 4, 5), T345, scale(T345, 2))
+BIG = 10**5000  # past the default int-to-str limit of 4300 digits: str(BIG) raises
+WRONG = (None, "3", 3.0, True, 0, -1, -BIG, BIG, (3, 4, 5), T345, scale(T345, 2))
+# BIG is an int of the right type: where another argument bounds it, it is refused with a
+# message that shows it as ``shown`` does, so many times per callable; the list is closed.
+# On the oracles it is a valid bound with no end of work, and is not passed.
+REFUSED_BIG = {"Partition": 3, "PrimitiveTriple": 3, "invert": 3, "decompose_general": 3,
+               "Gnomon": 1, "stream": 1}
+UNBOUNDED = {"brute_force_primitive", "euclid_parametrization"}
 # The refusals worded otherwise, by how each begins and how many WRONG values reach it; the
 # list is closed.  render_table names each element of rows "row", and a kind or fmt str that
 # is none of them is "unknown".  (ensure_side names its value by its name argument, here "value".)
@@ -292,20 +303,23 @@ def test_the_sweep_covers_every_public_callable():
 
 @pytest.mark.parametrize("name", VALID_CALLS)
 def test_a_wrong_argument_is_refused_by_name(name):
-    """Each argument in turn gets each value; only its own type, never 0 or -1, goes through.
+    """Each argument in turn gets each value; only its own type, never 0, -1 or -BIG, goes through.
 
     The one argument rule: a refusal is a TypeError that begins "{parameter} must
     be " and ends ", got {type name}", or, for an int too small, such a ValueError
-    that ends ", got {value}".  Only WORDED_OTHERWISE says otherwise.
+    that ends ", got {value}", the value as ``shown`` gives it.  Only WORDED_OTHERWISE and
+    REFUSED_BIG say otherwise; a bare ValueError from str(BIG) shows no value and is caught.
     """
-    offenders, otherwise = [], Counter()
+    offenders, otherwise, refused_big = [], Counter(), 0
     for parameter, valid in VALID_CALLS[name].items():
         for wrong in WRONG:
+            if wrong is BIG and name in UNBOUNDED:
+                continue
             try:
                 _call(name, {**VALID_CALLS[name], parameter: wrong})
             except (TypeError, ValueError) as exc:
-                sized = isinstance(exc, ValueError)  # only 0 and -1 may be refused by size
-                got, text = wrong if sized else type(wrong).__name__, str(exc)
+                sized = isinstance(exc, ValueError)  # only an int may be refused by size
+                got, text = shown(wrong) if sized else type(wrong).__name__, str(exc)
                 if (type(wrong) is int or not sized) and text.startswith(
                     f"{parameter} must be "
                 ) and text.endswith(f", got {got}"):
@@ -313,14 +327,18 @@ def test_a_wrong_argument_is_refused_by_name(name):
                 if text.startswith(WORDED_OTHERWISE.get((name, parameter), ("\0",))[0]):
                     otherwise[parameter] += 1
                     continue
+                if wrong is BIG and sized and got in text:
+                    refused_big += 1
+                    continue
                 offenders.append((parameter, wrong, text))
             except Exception as exc:  # noqa: BLE001 - any other type is the failure
                 offenders.append((parameter, wrong, type(exc).__name__))
             else:  # every int argument is at least 1
-                if type(wrong) is not type(valid) or wrong in (0, -1):
+                if type(wrong) is not type(valid) or wrong in (0, -1, -BIG):
                     offenders.append((parameter, wrong, "returned"))
     assert offenders == []
     assert otherwise == {p: count for (n, p), (_, count) in WORDED_OTHERWISE.items() if n == name}
+    assert refused_big == REFUSED_BIG.get(name, 0)
 
 
 @pytest.mark.parametrize(
@@ -365,6 +383,65 @@ def test_a_wrong_argument_is_refused_by_name(name):
 def test_a_refused_argument_is_named(call, error, message):
     """Each message in full.  A leg is named by its place in the call, not once sorted;
     ``thickness`` bounds ``side_length`` and ``from_s`` bounds ``to_s`` through ``ensure``."""
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_shown_names_an_int_only_past_the_int_to_str_limit():
+    limit = sys.get_int_max_str_digits()
+    assert (shown(10**limit - 1), shown(1 - 10**limit)) == (str(10**limit - 1), str(1 - 10**limit))
+    bits = (10**limit).bit_length()
+    assert (shown(10**limit), shown(-(10**limit))) == (
+        f"<int of {bits} bits>", f"<negative int of {bits} bits>"
+    )
+    assert (shown("3"), shown(2.5), shown(T345), shown(True)) == ("'3'", "2.5", repr(T345), "True")
+    assert shown(type("Wide", (int,), {})(-BIG)) == shown(-BIG)  # an int subclass passes ensure
+    sys.set_int_max_str_digits(0)  # no limit: every int in full, as the CLI shows it
+    try:
+        assert shown(-BIG) == str(-BIG)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+HUGE = 10**4300  # 2 * HUGE has 4301 digits
+BITS, NEGATIVE = "<int of 16610 bits>", "<negative int of 16610 bits>"  # shown(BIG), shown(-BIG)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PrimitiveTriple(-BIG, 4, 5), ValueError, f"x must be at least 1, got {NEGATIVE}"),
+        (lambda: Gnomon(BIG, 1), ValueError, f"side_length must be at least {BITS}, got 1"),
+        (lambda: ensure_side(-BIG), ValueError, f"side must be at least 2, got {NEGATIVE}"),
+        (lambda: factor_side(BIG + 1), ValueError,
+         f"side must be a positive even integer, got {BITS}"),
+        (lambda: Partition(1, 2 * BIG, 4), ValueError, "l must be odd, got l=<int of 16611 bits>"),
+        (lambda: Partition(BIG, 1, 4), ValueError, f"2*t*l must equal the side: 2*{BITS}*1 != 4"),
+        (lambda: Partition(BIG, 5, 10 * BIG), ValueError,
+         f"t and l must be coprime, got t={BITS}, l=5"),
+        (lambda: PrimitiveTriple(BIG, 1, 1), NotATripleError, f"{BITS}^2 + 1^2 != 1^2"),
+        (lambda: PrimitiveTriple(3 * BIG, 4 * BIG, 5 * BIG), NotPrimitiveError,
+         "(<int of 16612 bits>, <int of 16612 bits>, <int of 16612 bits>) has common factor "
+         f"{BITS}; not primitive"),
+        (lambda: PrimitiveTriple(2 * HUGE, HUGE * HUGE - 1, HUGE * HUGE + 1), ValueError,
+         "x must be odd and y even: PrimitiveTriple(x=<int of 14286 bits>, y=<int of 28569 bits>, "
+         "z=<int of 28569 bits>)"),
+        (lambda: setattr(GeneralTriple(T345, BIG), "scale", 1), AttributeError,
+         f"cannot set or delete 'scale': GeneralTriple(base={T345!r}, scale={BITS}) is immutable"),
+        (lambda: factor_side(2 * (BIG + 3)), SizeLimitError,
+         "factor <int of 16599 bits> is left after removing the primes up to 65536; "
+         "primality is proven exact only below 3317044064679887385961981"),
+        (lambda: render(DiagramSpec("lattice", T345, BIG)), SizeLimitError,
+         f"a {BITS}x{BITS} lattice exceeds the limit of 10000 cells"),
+        (lambda: render(DiagramSpec("lattice_regrouped", T345, BIG)), SizeLimitError,
+         "<int of 16612 bits> units at 10.0 px/unit; a side must be above 0 and at most 20000 px"),
+        (lambda: DiagramSpec("lattice", T345, unit_px=BIG), ValueError,
+         f"unit_px must be a positive finite number, got {BITS}"),
+    ],
+)
+def test_a_value_past_the_int_to_str_limit_is_shown_by_its_size(call, error, message):
+    """One message per site that shows a value: each keeps its type and its shape."""
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message

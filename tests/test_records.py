@@ -2,17 +2,23 @@
 
 The five public records are ``Partition``, ``PrimitiveTriple``, ``Gnomon``,
 ``GeneralTriple`` and ``DiagramSpec``.  Each takes its fields by position or
-keyword, runs its ``__post_init__`` check once per construction, and survives
-``pickle`` and ``copy.deepcopy`` unchanged.
+keyword, runs its ``__post_init__`` check once per construction, holds its fields in
+slots (no ``__dict__``, no weak references), and survives ``pickle`` and ``copy``
+unchanged, rebuilt through that check.
 """
 
 import copy
+import inspect
 import pickle
+import weakref
+from types import MemberDescriptorType
 
 import pytest
 
 import gnomon_triples
-from gnomon_triples import DiagramSpec, GeneralTriple, Gnomon, Partition, PrimitiveTriple
+from gnomon_triples import (
+    DiagramSpec, GeneralTriple, Gnomon, NotATripleError, Partition, PrimitiveTriple
+)
 
 TRIPLE = PrimitiveTriple(3, 4, 5)
 
@@ -64,6 +70,7 @@ def test_records_of_different_values_or_types_differ():
     assert PrimitiveTriple(3, 4, 5) != PrimitiveTriple(5, 12, 13)
     assert Gnomon(2, 5) != Gnomon(1, 5)
     assert Gnomon(2, 5) != GeneralTriple(TRIPLE, 1)
+    assert Gnomon(2, 5) != type("Sub", (Gnomon,), {"__slots__": ()})(2, 5)  # by exact type
     assert Partition(1, 1, 2) != PrimitiveTriple(3, 4, 5)
     assert GeneralTriple(TRIPLE, 1) != GeneralTriple(TRIPLE, 2)
     assert DiagramSpec("lattice", TRIPLE) != DiagramSpec("connected", TRIPLE)
@@ -85,12 +92,20 @@ def test_assigning_or_deleting_a_field_is_refused(cls, names, values, text, name
 
 
 def test_diagram_spec_defaults():
+    """Read by both constructors; on the class, ``scale_k`` and ``unit_px`` are slots."""
     spec = DiagramSpec("lattice", TRIPLE)
     assert (spec.scale_k, spec.unit_px) == (1, 10.0)
     assert type(spec.unit_px) is float
     assert spec == DiagramSpec("lattice", TRIPLE, 1, 10.0)
+    assert spec == DiagramSpec._unchecked("lattice", TRIPLE)
+    assert DiagramSpec("lattice", TRIPLE, 3) == DiagramSpec("lattice", TRIPLE, 3, 10.0)
     assert DiagramSpec("lattice", TRIPLE, unit_px=3).scale_k == 1
     assert DiagramSpec(kind="lattice", triple=TRIPLE, scale_k=3).unit_px == 10.0
+    for maker in (DiagramSpec, DiagramSpec._unchecked):
+        defaults = [p.default for p in inspect.signature(maker).parameters.values()]
+        assert defaults == [inspect.Parameter.empty] * 2 + [1, 10.0]
+    assert isinstance(DiagramSpec.scale_k, MemberDescriptorType)
+    assert isinstance(DiagramSpec.unit_px, MemberDescriptorType)
     with pytest.raises(TypeError):
         DiagramSpec("lattice")
 
@@ -139,3 +154,37 @@ def test_deepcopy_and_copy_round_trip(cls, names, values, text):
         assert type(twin) is cls and twin == record and repr(twin) == text
         with pytest.raises(AttributeError):
             setattr(twin, names[0], values[0])
+
+
+@each_record
+def test_a_record_holds_only_its_fields_in_slots(cls, names, values, text):
+    """As ``dataclass(slots=True)``: the slots are the fields in order, with no ``__dict__``
+    and, like the tuples a record stands for, no weak references."""
+    record = cls(*values)
+    assert cls.__slots__ == cls.__match_args__ == names
+    assert not hasattr(record, "__dict__") and not hasattr(record, "__weakref__")
+    with pytest.raises(TypeError):
+        weakref.ref(record)
+
+
+# (class, fields that fail its check, the error and message its constructor gives)
+UNCHECKED_WRONG = [
+    (Partition, (1, 2, 4), ValueError, "l must be odd, got l=2"),
+    (PrimitiveTriple, (3, 4, 6), NotATripleError, "3^2 + 4^2 != 6^2"),
+    (Gnomon, (6, 5), ValueError, "side_length must be at least 6, got 5"),
+    (GeneralTriple, (TRIPLE, 0), ValueError, "scale must be at least 1, got 0"),
+    (DiagramSpec, ("lattice", TRIPLE, 0), ValueError, "scale_k must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,error,message", UNCHECKED_WRONG, ids=IDS)
+def test_pickle_and_copy_rebuild_through_the_check(cls, fields, error, message):
+    """A record made unchecked from fields its check refuses is refused, not copied."""
+    made = cls._unchecked(*fields)
+    for rebuild in (copy.copy, copy.deepcopy, *(
+        lambda r, p=protocol: pickle.loads(pickle.dumps(r, p))
+        for protocol in (0, pickle.HIGHEST_PROTOCOL)
+    )):
+        with pytest.raises(error) as caught:
+            rebuild(made)
+        assert type(caught.value) is error and str(caught.value) == message
